@@ -2,8 +2,9 @@
 
 Subcommands: k0, verify theorem1, colimit, limit, ideals,
 partial-ideal check, snf.  Output is deterministic: the same config
-produces the same bytes.  Exit codes: 0 success, 1 validation failure,
-2 verification failure (with a witness).
+produces the same bytes.  Exit codes: 0 success, 1 validation failure
+or bad usage (with an error: line), 2 verification failure (with a
+witness).
 
 The environment variable NC_SPECTRUM_SEED overrides --seed for the
 randomized verification runs.
@@ -260,8 +261,26 @@ def cmd_snf(args, out) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as invalid input: exit 1 with an error line."""
+
+    def error(self, message):
+        raise ValidationError(f"{self.prog}: {message}")
+
+
+def _at_least(minimum):
+    """argparse type: an integer no smaller than minimum."""
+    def count(text):
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return count
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ncspectrum",
         description="Exact K-theory and ideal lattices of multi-matrix "
                     "algebras via diagrams of commutative subalgebra spectra.")
@@ -277,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="algebra JSON (inline or file)")
     p.add_argument("--method", choices=("standard", "diagram"),
                    default="standard")
-    p.add_argument("--stabilize", type=int, default=1, metavar="M",
+    p.add_argument("--stabilize", type=_at_least(1), default=1, metavar="M",
                    help="matrix tower level for the diagram method")
     p.add_argument("--spec", help="subdiagram spec JSON (inline or file)")
     p.set_defaults(func=cmd_k0)
@@ -286,9 +305,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("what", choices=("theorem1",))
     p.add_argument("--algebra", required=True)
     p.add_argument("--hom", help="check the naturality square of this hom")
-    p.add_argument("--stabilize", type=int, default=None, metavar="M")
+    p.add_argument("--stabilize", type=_at_least(1), default=None,
+                   metavar="M")
     p.add_argument("--spec")
-    p.add_argument("--random-homs", type=int, default=0, metavar="N",
+    p.add_argument("--random-homs", type=_at_least(0), default=0, metavar="N",
                    help="also check N seeded random unital homs")
     p.set_defaults(func=cmd_verify)
 
@@ -319,17 +339,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None, out=None) -> int:
     out = out or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    env_seed = os.environ.get("NC_SPECTRUM_SEED")
-    if env_seed is not None:
-        try:
-            args.seed = int(env_seed)
-        except ValueError:
-            out.write(f"error: NC_SPECTRUM_SEED must be an integer, "
-                      f"got {env_seed!r}\n")
-            return EXIT_VALIDATION
     try:
+        args = build_parser().parse_args(argv)
+        env_seed = os.environ.get("NC_SPECTRUM_SEED")
+        if env_seed is not None:
+            try:
+                args.seed = int(env_seed)
+            except ValueError:
+                raise ValidationError(f"NC_SPECTRUM_SEED must be an integer, "
+                                      f"got {env_seed!r}") from None
         return args.func(args, out)
     except ValidationError as exc:
         out.write(f"error: {exc}\n")

@@ -7,17 +7,21 @@ for diagonal projections, and the comparison map from the standard
 rank-vector K0 is checked to be an isomorphism by constructing an
 explicit inverse on generators.
 
-The full diagram of commutative subalgebras is infinite; the finite
-stand-in keeps all partitions of the diagonal coordinates (up to a size
-limit, beyond which only the coarsest and finest survive) plus rotated
-copies under a configurable set of inner automorphisms.  When the
-sample is too coarse for an isomorphism check, that is reported loudly,
-never silently accepted.
+The full diagram of commutative subalgebras is infinite; any finite
+sample that still generates its identifications has the same colimit.
+The default sample is such a generating set: the coarsest and the
+finest diagonal partition, rotated copies under the adjacent
+transpositions and one Pythagorean rotation per block, inclusion edges
+between them and a rotation edge per rotation at each base node.  A
+diagram that a morphism maps into is closed under the images of the
+source's base nodes and rotations (image_closed_spec).  When a sample
+is too coarse for an isomorphism check, that is reported loudly, never
+silently accepted.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .abgroup import (AbHom, ColimitResult, PresentedAbGroup, colimit,
                       colimit_induced, element_eq, kernel)
@@ -94,68 +98,79 @@ def partition_label(parts) -> str:
 
 @dataclass(frozen=True)
 class SubdiagramSpec:
-    """Finite stand-in for the infinite diagram of commutative subalgebras.
+    """A finite generating set for the diagram of commutative subalgebras.
 
-    rotations: inner automorphism generators contributing rotated copies
-    and identification edges.  full_partition_limit: with more diagonal
-    coordinates than this, only the coarsest and finest partitions are
-    kept.  rotation_edge_budget: rotation edges attach at every base
-    node while base_count * rotation_count stays within it, otherwise
-    only at the finest node (the remaining identifications are generated
-    by those).
+    The sampled diagram has three kinds of node: base nodes, which are
+    the diagonal partition subalgebras of the coarsest and the finest
+    partition plus every partition listed in partitions; and the copies
+    of the base nodes rotated by each of the rotations.  Its edges are
+    the covering pairs of the refinement order among the base
+    partitions, mirrored into each rotated sheet, and one rotation edge
+    per rotation at every base node.
+
+    rotations: inner automorphisms whose rotated sheets and rotation
+    edges generate the identifications.  partitions: extra base
+    partitions of the diagonal coordinates, each an iterable of
+    coordinate sets; empty by default.
     """
 
     rotations: tuple = ()
-    full_partition_limit: int = 6
-    rotation_edge_budget: int = 1200
+    partitions: tuple = ()
     label: str = "custom"
+
+    def __post_init__(self):
+        object.__setattr__(self, "partitions", tuple(
+            tuple(frozenset(p) for p in parts) for parts in self.partitions))
 
     @classmethod
     def default(cls, algebra: MultiMatrixAlgebra) -> "SubdiagramSpec":
-        """All coordinate transpositions per block plus one Pythagorean
-        rotation per block of size >= 2."""
+        """The adjacent transpositions of each block, which generate its
+        coordinate permutations, plus one Pythagorean rotation per block
+        of size >= 2."""
         rotations = []
         for b, n in enumerate(algebra.blocks):
-            for i in range(n):
-                for j in range(i + 1, n):
-                    rotations.append(transposition_unitary(algebra, b, i, j))
+            for i in range(n - 1):
+                rotations.append(transposition_unitary(algebra, b, i, i + 1))
             if n >= 2:
                 rotations.append(pythagorean_unitary(algebra, b))
         return cls(rotations=tuple(rotations), label="default")
 
     def describe(self) -> str:
         names = ",".join(a.name for a in self.rotations)
-        return (f"{self.label}(rotations=[{names}], "
-                f"partition_limit={self.full_partition_limit})")
+        parts = ";".join(partition_label(sorted(p, key=min))
+                         for p in self.partitions)
+        return f"{self.label}(rotations=[{names}], partitions=[{parts}])"
+
+
+def _refines(fine, coarse) -> bool:
+    """Whether every part of the partition fine lies in a part of coarse."""
+    return all(any(p <= q for q in coarse) for p in fine)
 
 
 def build_subdiagram(algebra: MultiMatrixAlgebra,
                      spec: SubdiagramSpec | None = None) -> ShapedDiagram:
     """The sampled diagram of commutative subalgebras of an algebra.
 
-    Nodes: diagonal partition subalgebras (all of them up to the size
-    limit) and their rotated copies.  Edges: partition-refinement
-    inclusions (mirrored into each rotated sheet) and rotation
-    isomorphisms.  Node and edge order is deterministic.
+    Nodes: the spec's base partition subalgebras (coarsest, listed
+    partitions, finest) and their rotated copies.  Edges: covering
+    refinement inclusions among the base nodes (mirrored into each
+    rotated sheet) and a rotation edge per rotation at every base node.
+    Node and edge order is deterministic.
     """
     if spec is None:
         spec = SubdiagramSpec.default(algebra)
     n = algebra.coord_count
-    if n <= spec.full_partition_limit:
-        partitions = set_partitions(n)
-        full = True
-    else:
-        partitions = [(frozenset(range(n)),),
-                      tuple(frozenset([c]) for c in range(n))]
-        full = False
+    coarsest = (frozenset(range(n)),)
+    finest = tuple(frozenset([c]) for c in range(n))
 
     node_ids = []
     node_data = {}
     by_key = {}
     base_ids = []
     parts_by_id = {}
-    for parts in partitions:
+    for parts in (coarsest,) + spec.partitions + (finest,):
         u = partition_subalgebra(algebra, parts)
+        parts = tuple(sorted(parts, key=min))
         nid = "d:" + partition_label(parts)
         if nid in node_data:
             continue
@@ -164,7 +179,7 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
         by_key[u.key] = nid
         base_ids.append(nid)
         parts_by_id[nid] = parts
-    fine_id = base_ids[-1]
+    fine_id = "d:" + partition_label(finest)
 
     kept = []
     for alpha in spec.rotations:
@@ -199,7 +214,7 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
 
     def add_inclusion(src, dst, spectrum_cache=None):
         if src == dst or (src, dst) in incl_pairs:
-            return None
+            return
         incl_pairs.add((src, dst))
         eid = f"i:{src}=>{dst}"
         arrow = SubalgebraArrow.inclusion(node_data[src], node_data[dst],
@@ -208,28 +223,15 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
             arrow._spectrum_map = spectrum_cache
         edges.append((eid, src, dst))
         edge_data[eid] = arrow
-        return eid
 
-    # base inclusion edges: covering refinements (merge two parts)
-    cover_list = []
-    if full:
-        label_to_id = {partition_label(parts_by_id[b]): b for b in base_ids}
-        for bid in base_ids:
-            parts = parts_by_id[bid]
-            if len(parts) < 2:
-                continue
-            for a in range(len(parts)):
-                for b in range(a + 1, len(parts)):
-                    merged = [p for k, p in enumerate(parts) if k not in (a, b)]
-                    merged.append(parts[a] | parts[b])
-                    merged.sort(key=min)
-                    sid = label_to_id[partition_label(merged)]
-                    if add_inclusion(sid, bid) is not None:
-                        cover_list.append((sid, bid))
-    else:
-        for coarse in base_ids[:-1]:
-            if add_inclusion(coarse, fine_id) is not None:
-                cover_list.append((coarse, fine_id))
+    # base inclusion edges: the covering pairs of the refinement order
+    finer = {(s, t) for s in base_ids for t in base_ids
+             if s != t and _refines(parts_by_id[t], parts_by_id[s])}
+    cover_list = [(s, t) for t in base_ids for s in base_ids
+                  if (s, t) in finer and not any(
+                      (s, r) in finer and (r, t) in finer for r in base_ids)]
+    for sid, tid in cover_list:
+        add_inclusion(sid, tid)
 
     # mirrored inclusion edges inside each rotated sheet
     for r, _alpha in enumerate(kept):
@@ -250,12 +252,9 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
             add_inclusion(s2, t2, spectrum_cache=cache)
 
     # rotation edges
-    all_node_mode = (len(base_ids) * max(1, len(kept))
-                     <= spec.rotation_edge_budget)
-    rot_sources = base_ids if all_node_mode else [fine_id]
     rotation_edges = {}
     for r, alpha in enumerate(kept):
-        for bid in rot_sources:
+        for bid in base_ids:
             tid, placement, raw = placements[(r, bid)]
             eid = f"t{r}:{bid}"
             assignment = {f"p{placement[i]}": f"p{i}"
@@ -278,8 +277,6 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
         "by_key": by_key,
         "rotations": tuple(kept),
         "rotation_edges": rotation_edges,
-        "all_node_mode": all_node_mode,
-        "full": full,
     }
     return ShapedDiagram(shape, node_data, edge_data, COVARIANT, meta=meta)
 
@@ -569,15 +566,6 @@ def verify_theorem1(algebra: MultiMatrixAlgebra,
         ktilde_factors=kt_factors, k0_factors=k0_factors)
 
 
-def _image_subalgebra_node(phi: StarHom, node: CommSubalgebra,
-                           target_diagram: ShapedDiagram):
-    images = [phi.apply(p) for p in node.atoms]
-    nonzero = [q for q in images if not q.is_zero()]
-    key = frozenset(nonzero)
-    nid = target_diagram.meta["by_key"].get(key)
-    return nid, images
-
-
 def diagram_morphism_of_hom(phi: StarHom, src_diagram: ShapedDiagram,
                             dst_diagram: ShapedDiagram) -> DiagramMorphism:
     """The (f, eta) morphism of subalgebra diagrams induced by a unital
@@ -589,7 +577,9 @@ def diagram_morphism_of_hom(phi: StarHom, src_diagram: ShapedDiagram,
     components = {}
     for nid in src_diagram.shape.nodes:
         node = src_diagram.node_data[nid]
-        target_id, _images = _image_subalgebra_node(phi, node, dst_diagram)
+        images = (phi.apply(p) for p in node.atoms)
+        key = frozenset(q for q in images if not q.is_zero())
+        target_id = dst_diagram.meta["by_key"].get(key)
         if target_id is None:
             raise VerificationError(
                 "image subalgebra is not a node of the codomain diagram",
@@ -652,31 +642,42 @@ class NaturalityReport:
         return self.ok
 
 
+def image_closed_spec(phi: StarHom, diagram: ShapedDiagram) -> SubdiagramSpec:
+    """The default spec of phi's codomain, closed under the images of a
+    sampled diagram of its domain.
+
+    The image partition of every base node becomes a base partition and
+    the image of every rotation a rotation, so the codomain diagram
+    holds each image node and each rotation edge that the induced
+    diagram morphism maps to.
+    """
+    partitions = []
+    for nid in diagram.meta["base_ids"]:
+        masks = (phi.apply(p).diag_mask for p in diagram.node_data[nid].atoms)
+        partitions.append(tuple(mask for mask in masks if mask))
+    images = tuple(
+        InnerAutomorphism(phi.apply(alpha.u), name=f"phi({alpha.name})")
+        for alpha in diagram.meta["rotations"])
+    base = SubdiagramSpec.default(phi.codomain)
+    return SubdiagramSpec(rotations=base.rotations + images,
+                          partitions=tuple(partitions), label="default+images")
+
+
 def verify_naturality_square(phi: StarHom,
                              spec: SubdiagramSpec | None = None,
                              m: int = 1) -> NaturalityReport:
     """Whether eta_B . K0(phi) and Ktilde(phi tensor id) . eta_A agree on
     every generator of the standard K0 of the domain.
 
-    The codomain diagram is built with the images of the domain's
-    rotations added to its own, so the induced diagram morphism maps
-    every generating edge.
+    The codomain diagram is built from image_closed_spec, so the induced
+    diagram morphism maps every node and every generating edge.
     """
     if not phi.unital:
         raise ValidationError("naturality square requires a unital hom")
     dom_s, phi_s = stabilize(phi.domain, m, phi)
     cod_s = phi_s.codomain
-    spec_a = spec if spec is not None else SubdiagramSpec.default(dom_s)
-    dia_a = build_subdiagram(dom_s, spec_a)
-    extras = []
-    for alpha in dia_a.meta["rotations"]:
-        u_image = phi_s.apply(alpha.u)
-        if u_image.is_unitary():
-            extras.append(InnerAutomorphism(u_image, name=f"phi({alpha.name})"))
-    spec_b = SubdiagramSpec.default(cod_s)
-    spec_b = replace(spec_b, rotations=spec_b.rotations + tuple(extras),
-                     label="default+images")
-    dia_b = build_subdiagram(cod_s, spec_b)
+    dia_a = build_subdiagram(dom_s, spec)
+    dia_b = build_subdiagram(cod_s, image_closed_spec(phi_s, dia_a))
 
     dm = diagram_morphism_of_hom(phi_s, dia_a, dia_b)
     ab_a, ab_m = _ab_diagram(dia_a, dm)
@@ -744,7 +745,3 @@ def k_tilde_f_nonunital(algebra: MultiMatrixAlgebra,
             word[k] = c
         block_words.append(tuple(word))
     return K0Group(ker_group, block_words)
-
-
-def rank_vector(p: AlgebraElement):
-    return p.rank_vector()

@@ -38,10 +38,18 @@ def load_json_argument(text_or_path: str):
             raise ValidationError(f"{text_or_path}: invalid JSON: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_algebra(data) -> MultiMatrixAlgebra:
     if not isinstance(data, dict) or "blocks" not in data:
         raise ValidationError('algebra JSON must look like {"blocks": [2, 3]}')
-    return MultiMatrixAlgebra(data["blocks"])
+    blocks = data["blocks"]
+    if not isinstance(blocks, list) or not all(_is_int(b) for b in blocks):
+        raise ValidationError(f"algebra blocks must be a list of positive "
+                              f"integers, got {blocks!r}")
+    return MultiMatrixAlgebra(blocks)
 
 
 def dump_algebra(algebra: MultiMatrixAlgebra):
@@ -109,25 +117,46 @@ def dump_subalgebra(subalgebra: CommSubalgebra):
     }
 
 
+SPEC_KEYS = ("rotations", "partitions", "label")
+
+
 def load_spec(data, algebra: MultiMatrixAlgebra) -> SubdiagramSpec:
-    if data is None:
-        return SubdiagramSpec.default(algebra)
+    """{"rotations": "default" | [element, ...], "partitions": [[[0, 1],
+    [2]], ...], "label": str}, every key optional."""
     base = SubdiagramSpec.default(algebra)
+    if data is None:
+        return base
+    if not isinstance(data, dict):
+        raise ValidationError("spec JSON must be an object")
+    # a key the spec does not know, such as the partition limit or the
+    # rotation edge budget of the retired partition enumeration, would
+    # silently change what the file means
+    for key in data:
+        if key not in SPEC_KEYS:
+            raise ValidationError(
+                f"unknown spec key {key!r} (known: {', '.join(SPEC_KEYS)}); "
+                f"the subdiagram is a generating set, list extra base "
+                f"partitions under 'partitions'")
     rotations = data.get("rotations", "default")
     if rotations == "default":
         rotations = base.rotations
+    elif not isinstance(rotations, list):
+        raise ValidationError('spec rotations must be "default" or a list '
+                              'of unitary elements')
     else:
         rotations = tuple(
             InnerAutomorphism(load_element(u, algebra), name=f"u{i}")
             for i, u in enumerate(rotations))
-    return SubdiagramSpec(
-        rotations=rotations,
-        full_partition_limit=int(data.get("full_partition_limit",
-                                          base.full_partition_limit)),
-        rotation_edge_budget=int(data.get("rotation_edge_budget",
-                                          base.rotation_edge_budget)),
-        label=str(data.get("label", "file")),
-    )
+    partitions = data.get("partitions", [])
+    if not isinstance(partitions, list) or not all(
+            isinstance(parts, list) and all(
+                isinstance(part, list) and all(_is_int(c) for c in part)
+                for part in parts)
+            for parts in partitions):
+        raise ValidationError("spec partitions must be a list of partitions, "
+                              "each a list of coordinate lists")
+    return SubdiagramSpec(rotations=rotations, partitions=partitions,
+                          label=str(data.get("label", "file")))
 
 
 def load_ab_diagram(data) -> ShapedDiagram:

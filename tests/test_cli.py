@@ -45,6 +45,42 @@ class TestK0Command:
         assert "error" in text
 
 
+class TestInvalidInput:
+    @pytest.mark.parametrize("algebra", [
+        '{"blocks":[2.5]}', '{"blocks":"ab"}', '{"blocks":[true]}',
+        '{"blocks":[0]}',
+    ])
+    def test_bad_blocks_exit_one(self, algebra):
+        code, text = run_cli("k0", "--algebra", algebra)
+        assert code == 1
+        assert text.startswith("error: ")
+
+    def test_negative_random_homs_exit_one(self):
+        code, text = run_cli("verify", "theorem1",
+                             "--algebra", '{"blocks":[1]}',
+                             "--random-homs", "-3")
+        assert code == 1
+        assert text.startswith("error: ")
+        assert "--random-homs" in text
+
+    @pytest.mark.parametrize("key", ["full_partition_limit",
+                                     "rotation_edge_budget"])
+    def test_retired_spec_key_exit_one(self, key):
+        code, text = run_cli("k0", "--algebra", '{"blocks":[2]}',
+                             "--method", "diagram",
+                             "--spec", json.dumps({key: 6}))
+        assert code == 1
+        assert text.startswith("error: ")
+        assert key in text
+
+    def test_spec_partitions_accepted(self):
+        code, text = run_cli("k0", "--algebra", '{"blocks":[3]}',
+                             "--method", "diagram",
+                             "--spec", '{"partitions": [[[0, 1], [2]]]}')
+        assert code == 0
+        assert text.splitlines()[0] == "Z"
+
+
 class TestVerifyCommand:
     def test_theorem1_pass(self):
         code, text = run_cli("verify", "theorem1",

@@ -71,6 +71,25 @@ class TestBuildSubdiagram:
         assert list(dia.shape.nodes) == ["d:0,1", "d:0|1"]
         assert [(e.src, e.dst) for e in dia.shape.edges] == [("d:0,1", "d:0|1")]
 
+    def test_default_is_a_generating_set_not_a_partition_enumeration(self):
+        dia = build_subdiagram(MultiMatrixAlgebra([6]))
+        assert dia.meta["base_ids"] == ("d:0,1,2,3,4,5", "d:0|1|2|3|4|5")
+        assert len(dia.shape.nodes) == 3
+        assert len(dia.shape.edges) == 14
+
+    def test_listed_partitions_add_covering_inclusions(self):
+        m3 = MultiMatrixAlgebra([3])
+        spec = SubdiagramSpec(partitions=([[2], [0, 1]],), label="mid")
+        dia = build_subdiagram(m3, spec)
+        assert dia.meta["base_ids"] == ("d:0,1,2", "d:0,1|2", "d:0|1|2")
+        assert [(e.src, e.dst) for e in dia.shape.edges] == [
+            ("d:0,1,2", "d:0,1|2"), ("d:0,1|2", "d:0|1|2")]
+
+    def test_invalid_listed_partition_rejected(self):
+        spec = SubdiagramSpec(partitions=([[0]],), label="short")
+        with pytest.raises(ValidationError):
+            build_subdiagram(M2, spec)
+
     def test_rotated_atoms_partition_unity(self):
         dia = build_subdiagram(M23)
         for nid in dia.shape.nodes:
@@ -235,6 +254,16 @@ class TestNaturality:
             phi = sample_unital_hom(rng)
             assert verify_naturality_square(phi, m=1).ok
 
+    def test_level_two_acceptance_homs(self):
+        # these 15 of the acceptance suite's draws failed at m=2 while the
+        # codomain diagram was not closed under image partitions
+        formerly_failing = {0, 2, 6, 8, 10, 20, 23, 25, 29, 33, 40, 41, 42,
+                            46, 48}
+        rng = random.Random(20260811)
+        homs = [sample_unital_hom(rng, max_total_dim=6) for _ in range(50)]
+        for k in sorted(formerly_failing):
+            assert verify_naturality_square(homs[k], m=2).ok, k
+
     def test_non_unital_rejected(self):
         phi = StarHom(M2, MultiMatrixAlgebra([5]), [[2]], unital=False)
         with pytest.raises(ValidationError):
@@ -245,10 +274,8 @@ class TestInducedFunctoriality:
     def test_induced_maps_compose_along_homs(self):
         from ncspectrum import colimit, colimit_induced, compose_morphisms
         from ncspectrum.diagram import maps_equal
-        from ncspectrum.ktheory import (SubdiagramSpec, _ab_diagram,
-                                        diagram_morphism_of_hom)
-        from dataclasses import replace
-        from ncspectrum import InnerAutomorphism
+        from ncspectrum.ktheory import (_ab_diagram, diagram_morphism_of_hom,
+                                        image_closed_spec)
 
         m1 = MultiMatrixAlgebra([1])
         m4 = MultiMatrixAlgebra([4])
@@ -258,13 +285,7 @@ class TestInducedFunctoriality:
 
         dia_a = build_subdiagram(m1)
         dia_b = build_subdiagram(M2)
-        extras = tuple(
-            InnerAutomorphism(psi.apply(alpha.u), name=f"psi({alpha.name})")
-            for alpha in dia_b.meta["rotations"])
-        spec_c = SubdiagramSpec.default(m4)
-        spec_c = replace(spec_c, rotations=spec_c.rotations + extras,
-                         label="default+images")
-        dia_c = build_subdiagram(m4, spec_c)
+        dia_c = build_subdiagram(m4, image_closed_spec(psi, dia_b))
 
         m_phi = diagram_morphism_of_hom(phi, dia_a, dia_b)
         m_psi = diagram_morphism_of_hom(psi, dia_b, dia_c)

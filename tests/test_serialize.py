@@ -44,6 +44,28 @@ class TestAlgebraAndElements:
         assert serialize.load_element(data, a) == e
 
 
+class TestSpec:
+    def test_default_when_absent(self):
+        a = MultiMatrixAlgebra([2])
+        assert serialize.load_spec(None, a).label == "default"
+
+    def test_partitions_and_label(self):
+        a = MultiMatrixAlgebra([3])
+        spec = serialize.load_spec({"partitions": [[[2], [0, 1]]],
+                                    "label": "mid"}, a)
+        assert spec.partitions == ((frozenset({2}), frozenset({0, 1})),)
+        assert spec.label == "mid"
+
+    @pytest.mark.parametrize("data", [
+        {"full_partition_limit": 6}, {"rotation_edge_budget": 1200},
+        {"partition_limit": 6}, {"partitions": [[0, 1]]},
+        {"rotations": 3}, [],
+    ])
+    def test_rejected(self, data):
+        with pytest.raises(ValidationError):
+            serialize.load_spec(data, MultiMatrixAlgebra([2]))
+
+
 class TestHom:
     def test_round_trip(self):
         data = {"domain": {"blocks": [1]}, "codomain": {"blocks": [2]},
