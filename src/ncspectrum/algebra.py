@@ -5,13 +5,33 @@ one exact matrix per block.  Unital *-homomorphisms are described by a
 Bratteli multiplicity matrix together with an explicit coordinate
 assignment, so that applying a homomorphism is deterministic.
 
-Everything is immutable and pure.
+Most values of the diagram route have more structure than a dense
+matrix, and are held in that structure:
+
+- a diagonal 0/1 projection, such as every atom of a diagonal partition
+  subalgebra, is held as its set of global diagonal coordinates (mask
+  form, see diagonal_projection); its block matrices are built only
+  when they are read;
+- a rotation that permutes the diagonal coordinates, such as a
+  transposition or the image of one under a unital hom, is held as
+  that coordinate permutation (InnerAutomorphism.permutation), and
+  conjugates a diagonal projection by permuting its coordinate set;
+- a rotation given by a dense unitary leaves alone every diagonal
+  projection that contains all of its support (the coordinates it
+  mixes) or none of it, so dense exact matrices are built only for the
+  atoms it really rotates.
+
+Both forms of an element compare and hash alike, and the dense
+arithmetic stays as the general path.  Everything is immutable and
+pure.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError
 from .exact import ExactMatrix, GaussianRational, GR_ONE, GR_ZERO
+
+_UNSET = object()  # diag_mask not yet computed
 
 
 class MultiMatrixAlgebra:
@@ -55,10 +75,10 @@ class MultiMatrixAlgebra:
         return AlgebraElement(self, parts)
 
     def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, [ExactMatrix.zeros(n, n) for n in self.blocks])
+        return AlgebraElement._from_mask(self, frozenset())
 
     def one(self) -> "AlgebraElement":
-        return AlgebraElement(self, [ExactMatrix.identity(n) for n in self.blocks])
+        return AlgebraElement._from_mask(self, frozenset(range(self.coord_count)))
 
     def __eq__(self, other):
         if not isinstance(other, MultiMatrixAlgebra):
@@ -76,9 +96,14 @@ class MultiMatrixAlgebra:
 
 
 class AlgebraElement:
-    """An element of a multi-matrix algebra, one exact matrix per block."""
+    """An element of a multi-matrix algebra, one exact matrix per block.
 
-    __slots__ = ("algebra", "parts", "_hash", "_mask")
+    A diagonal 0/1 projection may instead be held in mask form, as its
+    set of global coordinates; its parts are then built on first read.
+    Equality and hashing agree across the two forms.
+    """
+
+    __slots__ = ("algebra", "_parts", "_hash", "_mask")
 
     def __init__(self, algebra: MultiMatrixAlgebra, parts):
         parts = tuple(parts)
@@ -90,9 +115,41 @@ class AlgebraElement:
                     f"block of shape {p.rows}x{p.cols} does not fit size {n}"
                 )
         self.algebra = algebra
-        self.parts = parts
+        self._parts = parts
         self._hash = None
-        self._mask = -1  # sentinel: not yet computed
+        self._mask = _UNSET
+
+    @classmethod
+    def _from_mask(cls, algebra: MultiMatrixAlgebra, mask: frozenset):
+        """Mask form of the diagonal projection on mask, a frozenset of
+        global coordinates of algebra."""
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self._parts = None
+        self._hash = None
+        self._mask = mask
+        return self
+
+    @property
+    def parts(self):
+        """One exact matrix per block; built on first read in mask form."""
+        if self._parts is None:
+            parts = []
+            offset = 0
+            for n in self.algebra.blocks:
+                entries = [GR_ZERO] * (n * n)
+                for i in range(n):
+                    if offset + i in self._mask:
+                        entries[i * n + i] = GR_ONE
+                parts.append(ExactMatrix(n, n, entries))
+                offset += n
+            self._parts = tuple(parts)
+        return self._parts
+
+    def _known_mask(self):
+        """The coordinate set when this is known, without a scan, to be a
+        diagonal 0/1 projection; else None."""
+        return None if self._mask is _UNSET else self._mask
 
     def _require_same_parent(self, other: "AlgebraElement"):
         if self.algebra != other.algebra:
@@ -100,16 +157,31 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._require_same_parent(other)
+        ma, mb = self._known_mask(), other._known_mask()
+        if ma is not None and mb is not None and ma.isdisjoint(mb):
+            return AlgebraElement._from_mask(self.algebra, ma | mb)
         return AlgebraElement(self.algebra,
                               [a + b for a, b in zip(self.parts, other.parts)])
 
     def __sub__(self, other):
         self._require_same_parent(other)
+        ma, mb = self._known_mask(), other._known_mask()
+        if ma is not None and mb is not None and mb <= ma:
+            return AlgebraElement._from_mask(self.algebra, ma - mb)
         return AlgebraElement(self.algebra,
                               [a - b for a, b in zip(self.parts, other.parts)])
 
     def __mul__(self, other):
         self._require_same_parent(other)
+        ma, mb = self._known_mask(), other._known_mask()
+        if ma is not None and mb is not None:
+            return AlgebraElement._from_mask(self.algebra, ma & mb)
+        if ma is not None:
+            return AlgebraElement(self.algebra,
+                                  _keep_lines(other.parts, ma, rows=True))
+        if mb is not None:
+            return AlgebraElement(self.algebra,
+                                  _keep_lines(self.parts, mb, rows=False))
         return AlgebraElement(self.algebra,
                               [a * b for a, b in zip(self.parts, other.parts)])
 
@@ -117,33 +189,51 @@ class AlgebraElement:
         return AlgebraElement(self.algebra, [-a for a in self.parts])
 
     def adjoint(self) -> "AlgebraElement":
+        if self._known_mask() is not None:
+            return self
         return AlgebraElement(self.algebra, [a.adjoint() for a in self.parts])
 
     def scale(self, c) -> "AlgebraElement":
         return AlgebraElement(self.algebra, [a.scale(c) for a in self.parts])
 
     def is_zero(self) -> bool:
+        mask = self._known_mask()
+        if mask is not None:
+            return not mask
         return all(p.is_zero() for p in self.parts)
 
     def is_projection(self) -> bool:
+        if self._known_mask() is not None:
+            return True
         return all(p.classify().projection for p in self.parts)
 
     def is_unitary(self) -> bool:
+        mask = self._known_mask()
+        if mask is not None:
+            return len(mask) == self.algebra.coord_count
         return all(p.classify().unitary for p in self.parts)
 
     def rank_vector(self):
         """Per-block ranks; classifies projections up to unitary equivalence."""
-        return tuple(p.rank() for p in self.parts)
+        mask = self.diag_mask
+        if mask is None:
+            return tuple(p.rank() for p in self.parts)
+        ranks = []
+        offset = 0
+        for n in self.algebra.blocks:
+            ranks.append(sum(1 for c in range(offset, offset + n) if c in mask))
+            offset += n
+        return tuple(ranks)
 
     @property
     def diag_mask(self):
         """Frozenset of global coordinates if this is a diagonal 0/1
         projection, else None.  Cached."""
-        if self._mask == -1:
+        if self._mask is _UNSET:
             coords = set()
             offset = 0
             ok = True
-            for p in self.parts:
+            for p in self._parts:
                 bits = p.diagonal_01_pattern()
                 if bits is None:
                     ok = False
@@ -156,27 +246,49 @@ class AlgebraElement:
     def __eq__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return self.algebra == other.algebra and self.parts == other.parts
+        if self.algebra != other.algebra:
+            return False
+        if self._parts is None or other._parts is None:
+            return self.diag_mask == other.diag_mask
+        ma, mb = self._known_mask(), other._known_mask()
+        if ma is not None and mb is not None:
+            return ma == mb
+        return self._parts == other._parts
 
     def __hash__(self):
+        # a diagonal 0/1 projection hashes by its mask in either form
         if self._hash is None:
-            self._hash = hash((self.algebra.blocks, self.parts))
+            mask = self.diag_mask
+            self._hash = hash((self.algebra.blocks,
+                               self._parts if mask is None else mask))
         return self._hash
 
     def __repr__(self):
         return f"AlgebraElement({self.algebra}, {list(self.parts)})"
 
 
-def diagonal_projection(algebra: MultiMatrixAlgebra, coords) -> AlgebraElement:
-    """The diagonal 0/1 projection supported on the given global coordinates."""
-    coords = set(coords)
-    parts = []
+def _keep_lines(parts, mask, rows):
+    """The block matrices with every row (rows=True) or every column
+    outside the global coordinate set mask zeroed: P x or x P for the
+    diagonal projection P on mask."""
+    out = []
     offset = 0
-    for n in algebra.blocks:
-        parts.append(ExactMatrix.diagonal(
-            [1 if offset + i in coords else 0 for i in range(n)]))
+    for part in parts:
+        n = part.rows
+        keep = [offset + i in mask for i in range(n)]
+        out.append(ExactMatrix(n, n, [
+            e if keep[k // n if rows else k % n] else GR_ZERO
+            for k, e in enumerate(part.entries)]))
         offset += n
-    return AlgebraElement(algebra, parts)
+    return out
+
+
+def diagonal_projection(algebra: MultiMatrixAlgebra, coords) -> AlgebraElement:
+    """The diagonal 0/1 projection supported on the given global
+    coordinates, in mask form; coordinates outside the algebra are
+    ignored."""
+    return AlgebraElement._from_mask(
+        algebra, frozenset(coords).intersection(range(algebra.coord_count)))
 
 
 def projection_leq(q: AlgebraElement, p: AlgebraElement) -> bool:
@@ -201,7 +313,8 @@ class StarHom:
     unitarily equivalent but not structurally equal.
     """
 
-    __slots__ = ("domain", "codomain", "multiplicity", "unital", "assignment")
+    __slots__ = ("domain", "codomain", "multiplicity", "unital", "assignment",
+                 "_coord_map")
 
     def __init__(self, domain, codomain, multiplicity, unital,
                  assignment=None):
@@ -230,12 +343,15 @@ class StarHom:
                 for i in range(codomain.nblocks)
             )
         else:
-            assignment = tuple(tuple(slot for slot in row) for row in assignment)
+            assignment = tuple(tuple(tuple(slot) for slot in row)
+                               for row in assignment)
+            _check_assignment(assignment, multiplicity)
         self.domain = domain
         self.codomain = codomain
         self.multiplicity = multiplicity
         self.unital = bool(unital)
         self.assignment = assignment
+        self._coord_map = None
 
     @classmethod
     def identity(cls, algebra: MultiMatrixAlgebra) -> "StarHom":
@@ -243,11 +359,39 @@ class StarHom:
                 for i in range(algebra.nblocks)]
         return cls(algebra, algebra, mult, unital=True)
 
+    @property
+    def coord_map(self):
+        """For each global diagonal coordinate of the domain, the codomain
+        coordinates its copies land on, in slot order.  Cached."""
+        if self._coord_map is None:
+            images = [[] for _ in range(self.domain.coord_count)]
+            offset = 0
+            for i, m in enumerate(self.codomain.blocks):
+                slot = offset
+                for (j, _copy) in self.assignment[i]:
+                    start = self.domain.block_offset(j)
+                    for r in range(self.domain.blocks[j]):
+                        images[start + r].append(slot + r)
+                    slot += self.domain.blocks[j]
+                offset += m
+            self._coord_map = tuple(tuple(t) for t in images)
+        return self._coord_map
+
     def apply(self, a: AlgebraElement) -> AlgebraElement:
         """Block-diagonal placement of copies of a's blocks, zero-padded
-        when non-unital."""
+        when non-unital.  A diagonal 0/1 projection maps through the
+        coordinate map to one in mask form."""
         if a.algebra != self.domain:
             raise ValidationError("element does not live in the hom's domain")
+        mask = a.diag_mask
+        if mask is not None:
+            cmap = self.coord_map
+            return AlgebraElement._from_mask(
+                self.codomain, frozenset(d for c in mask for d in cmap[c]))
+        return self._place(a)
+
+    def _place(self, a: AlgebraElement) -> AlgebraElement:
+        """The dense placement of apply, for any element of the domain."""
         parts = []
         for i, m in enumerate(self.codomain.blocks):
             rows = [[GR_ZERO] * m for _ in range(m)]
@@ -263,6 +407,30 @@ class StarHom:
                 offset += n
             parts.append(ExactMatrix.from_rows(rows))
         return AlgebraElement(self.codomain, parts)
+
+    def apply_rotation(self, alpha: "InnerAutomorphism",
+                       name: str = "") -> "InnerAutomorphism":
+        """The image automorphism, conjugation by phi(u); phi must be
+        unital so that phi(u) is unitary.
+
+        The image of a permutation rotation is the permutation rotation
+        read off the coordinate map: copy k of coordinate c goes to copy
+        k of coordinate perm[c].  A dense rotation's image is built
+        densely and checked unitary.
+        """
+        if not self.unital:
+            raise ValidationError("rotation images need a unital hom")
+        if alpha.algebra != self.domain:
+            raise ValidationError("rotation does not live in the hom's domain")
+        name = name or f"phi({alpha.name})"
+        if alpha.coord_perm is None:
+            return InnerAutomorphism(self.apply(alpha.u), name=name)
+        cmap = self.coord_map
+        perm = [None] * self.codomain.coord_count
+        for c, targets in enumerate(cmap):
+            for d, e in zip(targets, cmap[alpha.coord_perm[c]]):
+                perm[d] = e
+        return InnerAutomorphism.permutation(self.codomain, perm, name)
 
     def compose(self, other: "StarHom") -> "StarHom":
         """self after other.  The inner hom must be unital so that the
@@ -310,50 +478,139 @@ class StarHom:
                 f"unital={self.unital})")
 
 
-def apply_hom(phi: StarHom, a: AlgebraElement) -> AlgebraElement:
-    return phi.apply(a)
+def _check_assignment(assignment, multiplicity):
+    """Codomain block i must hold the copies 0 .. multiplicity[i][j]-1
+    of every domain block j, each once, as (j, copy) slots."""
+    if len(assignment) != len(multiplicity):
+        raise ValidationError("assignment needs one row per codomain block")
+    for i, (row, mult) in enumerate(zip(assignment, multiplicity)):
+        copies = [[] for _ in mult]
+        for slot in row:
+            if len(slot) != 2 or not all(isinstance(x, int) for x in slot) \
+                    or not 0 <= slot[0] < len(mult):
+                raise ValidationError(
+                    f"assignment slot {list(slot)!r} in codomain block {i} "
+                    f"is not a (domain block, copy) pair")
+            copies[slot[0]].append(slot[1])
+        for j, got in enumerate(copies):
+            if sorted(got) != list(range(mult[j])):
+                raise ValidationError(
+                    f"assignment of codomain block {i} must hold copies "
+                    f"0..{mult[j] - 1} of domain block {j} once each")
 
 
 class InnerAutomorphism:
     """Conjugation a -> u a u* by a unitary element u.
 
-    coord_perm, when set, records that u permutes the diagonal
-    coordinates; conjugation of diagonal projections then reduces to a
-    permutation of supports.
+    A rotation built by permutation() holds coord_perm, the permutation
+    of the global diagonal coordinates that u induces, and builds u only
+    when it is read; it conjugates a diagonal projection by permuting
+    its coordinates.  A rotation given by a dense u is checked unitary
+    and has coord_perm None; it returns a diagonal projection unchanged
+    when the projection's mask contains all of u's support or none of
+    it (see support), and conjugates densely otherwise.
     """
 
-    __slots__ = ("u", "name", "coord_perm")
+    __slots__ = ("algebra", "_u", "name", "coord_perm", "_support")
 
-    def __init__(self, u: AlgebraElement, name: str = "", coord_perm=None):
+    def __init__(self, u: AlgebraElement, name: str = ""):
         if not u.is_unitary():
             raise ValidationError("conjugating element must be unitary in every block")
-        self.u = u
+        self.algebra = u.algebra
+        self._u = u
         self.name = name or "u"
-        self.coord_perm = tuple(coord_perm) if coord_perm is not None else None
+        self.coord_perm = None
+        self._support = None
+
+    @classmethod
+    def permutation(cls, algebra: MultiMatrixAlgebra, perm,
+                    name: str = "") -> "InnerAutomorphism":
+        """Conjugation by the permutation unitary sending coordinate c to
+        perm[c].  perm must be a bijection of the global diagonal
+        coordinates that keeps each coordinate in its block; the
+        permutation matrix is then unitary by construction."""
+        perm = tuple(perm)
+        n = algebra.coord_count
+        if len(perm) != n or not all(isinstance(p, int) for p in perm) \
+                or set(perm) != set(range(n)):
+            raise ValidationError(
+                f"coordinate permutation must be a bijection of range({n})")
+        owner = [b for b, m in enumerate(algebra.blocks) for _ in range(m)]
+        for c, p in enumerate(perm):
+            if owner[c] != owner[p]:
+                raise ValidationError(
+                    f"coordinate permutation moves {c} from block {owner[c]} "
+                    f"to block {owner[p]}")
+        self = object.__new__(cls)
+        self.algebra = algebra
+        self._u = None
+        self.name = name or "perm"
+        self.coord_perm = perm
+        self._support = None
+        return self
 
     @property
-    def algebra(self) -> MultiMatrixAlgebra:
-        return self.u.algebra
+    def u(self) -> AlgebraElement:
+        """The conjugating unitary; built on first read for a permutation
+        rotation, with u e_c = e_perm[c]."""
+        if self._u is None:
+            parts = []
+            offset = 0
+            for m in self.algebra.blocks:
+                entries = [GR_ZERO] * (m * m)
+                for c in range(m):
+                    entries[(self.coord_perm[offset + c] - offset) * m + c] = GR_ONE
+                parts.append(ExactMatrix(m, m, entries))
+                offset += m
+            self._u = AlgebraElement(self.algebra, parts)
+        return self._u
+
+    @property
+    def support(self) -> frozenset:
+        """The global coordinates whose row or column of u has a nonzero
+        off-diagonal entry.  Outside them u is diagonal, so u commutes
+        with every diagonal projection that contains all of them or
+        none of them."""
+        if self._support is None:
+            if self.coord_perm is not None:
+                support = {c for c, p in enumerate(self.coord_perm) if c != p}
+            else:
+                support = set()
+                offset = 0
+                for part in self.u.parts:
+                    n = part.rows
+                    for r in range(n):
+                        for c in range(n):
+                            if r != c and not part.entries[r * n + c].is_zero():
+                                support.update((offset + r, offset + c))
+                    offset += n
+            self._support = frozenset(support)
+        return self._support
 
     def __call__(self, a: AlgebraElement) -> AlgebraElement:
         return self.conjugate(a)
 
     def conjugate(self, a: AlgebraElement) -> AlgebraElement:
-        if a.algebra != self.u.algebra:
+        if a.algebra != self.algebra:
             raise ValidationError("element and unitary live in different algebras")
-        if self.coord_perm is not None and a.diag_mask is not None:
-            return diagonal_projection(
-                a.algebra, (self.coord_perm[c] for c in a.diag_mask))
-        return self.u * a * self.u.adjoint()
+        mask = a.diag_mask
+        if mask is not None:
+            if self.coord_perm is not None:
+                return AlgebraElement._from_mask(
+                    a.algebra, frozenset(self.coord_perm[c] for c in mask))
+            if self.support <= mask or self.support.isdisjoint(mask):
+                return a
+        u = self.u
+        return u * a * u.adjoint()
 
     def inverse(self) -> "InnerAutomorphism":
-        perm = None
-        if self.coord_perm is not None:
-            perm = [0] * len(self.coord_perm)
-            for i, p in enumerate(self.coord_perm):
-                perm[p] = i
-        return InnerAutomorphism(self.u.adjoint(), name=f"{self.name}^-1",
-                                 coord_perm=perm)
+        name = f"{self.name}^-1"
+        if self.coord_perm is None:
+            return InnerAutomorphism(self.u.adjoint(), name=name)
+        perm = [0] * len(self.coord_perm)
+        for i, p in enumerate(self.coord_perm):
+            perm[p] = i
+        return InnerAutomorphism.permutation(self.algebra, perm, name)
 
     def acts_trivially_on(self, elements) -> bool:
         return all(self.conjugate(p) == p for p in elements)
@@ -361,41 +618,29 @@ class InnerAutomorphism:
     def __eq__(self, other):
         if not isinstance(other, InnerAutomorphism):
             return NotImplemented
+        if self.coord_perm is not None and other.coord_perm is not None:
+            return (self.algebra == other.algebra
+                    and self.coord_perm == other.coord_perm)
         return self.u == other.u
 
     def __hash__(self):
-        return hash(self.u)
+        return hash((self.algebra, self.support))
 
     def __repr__(self):
         return f"InnerAutomorphism({self.name})"
 
 
-def conjugate(alpha: InnerAutomorphism, a: AlgebraElement) -> AlgebraElement:
-    return alpha.conjugate(a)
-
-
 def transposition_unitary(algebra: MultiMatrixAlgebra, block: int,
                           i: int, j: int) -> InnerAutomorphism:
-    """The permutation unitary swapping coordinates i and j of a block."""
+    """The permutation rotation swapping coordinates i and j of a block."""
     n = algebra.blocks[block]
     if not (0 <= i < n and 0 <= j < n and i != j):
         raise ValidationError(f"bad transposition ({i},{j}) in block of size {n}")
-    parts = []
-    for b, m in enumerate(algebra.blocks):
-        if b != block:
-            parts.append(ExactMatrix.identity(m))
-            continue
-        rows = [[GR_ONE if r == c else GR_ZERO for c in range(m)] for r in range(m)]
-        rows[i][i] = GR_ZERO
-        rows[j][j] = GR_ZERO
-        rows[i][j] = GR_ONE
-        rows[j][i] = GR_ONE
-        parts.append(ExactMatrix.from_rows(rows))
     offset = algebra.block_offset(block)
     perm = list(range(algebra.coord_count))
     perm[offset + i], perm[offset + j] = perm[offset + j], perm[offset + i]
-    return InnerAutomorphism(AlgebraElement(algebra, parts),
-                             name=f"swap[b{block}:{i},{j}]", coord_perm=perm)
+    return InnerAutomorphism.permutation(algebra, perm,
+                                         name=f"swap[b{block}:{i},{j}]")
 
 
 def pythagorean_unitary(algebra: MultiMatrixAlgebra, block: int) -> InnerAutomorphism:

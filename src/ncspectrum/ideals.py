@@ -53,6 +53,8 @@ class TotalIdeal:
 
 def block_support(p) -> frozenset:
     """Blocks on which an element has a nonzero component."""
+    if p.diag_mask is not None:
+        return frozenset(i for i, r in enumerate(p.rank_vector()) if r)
     return frozenset(i for i, part in enumerate(p.parts) if not part.is_zero())
 
 

@@ -25,9 +25,9 @@ from dataclasses import dataclass
 
 from .abgroup import (AbHom, ColimitResult, PresentedAbGroup, colimit,
                       colimit_induced, element_eq, kernel)
-from .algebra import (AlgebraElement, InnerAutomorphism, MultiMatrixAlgebra,
-                      StarHom, pythagorean_unitary, stabilize,
-                      transposition_unitary, unitalize)
+from .algebra import (AlgebraElement, MultiMatrixAlgebra, StarHom,
+                      pythagorean_unitary, stabilize, transposition_unitary,
+                      unitalize)
 from .diagram import (COVARIANT, FORWARD, DiagramMorphism, Functor, Shape,
                       ShapedDiagram, find_path, postcompose)
 from .errors import (SubdiagramInsufficientError, ValidationError,
@@ -181,19 +181,26 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
         parts_by_id[nid] = parts
     fine_id = "d:" + partition_label(finest)
 
+    # a rotation that fixes every atom of the finest node fixes every
+    # base node; the conjugates of the finest atoms are kept for reuse
     kept = []
+    fine_raw = []
     for alpha in spec.rotations:
         if alpha.algebra != algebra:
             raise ValidationError("rotation lives in a different algebra")
-        if not alpha.acts_trivially_on(node_data[fine_id].atoms):
+        raw = tuple(alpha.conjugate(p) for p in node_data[fine_id].atoms)
+        if raw != node_data[fine_id].atoms:
             kept.append(alpha)
+            fine_raw.append(raw)
 
     # rotated copies; placement maps raw conjugate order to node atom order
     placements = {}
     for r, alpha in enumerate(kept):
         for bid in base_ids:
-            u = node_data[bid]
-            raw = tuple(alpha.conjugate(p) for p in u.atoms)
+            if bid == fine_id:
+                raw = fine_raw[r]
+            else:
+                raw = tuple(alpha.conjugate(p) for p in node_data[bid].atoms)
             key = frozenset(raw)
             tid = by_key.get(key)
             if tid is None:
@@ -590,6 +597,7 @@ def diagram_morphism_of_hom(phi: StarHom, src_diagram: ShapedDiagram,
 
     dst_rotations = dst_diagram.meta["rotations"]
     dst_rot_edges = dst_diagram.meta["rotation_edges"]
+    rotation_images = {}
     edge_map = {}
     for e in src_diagram.shape.edges:
         arrow = src_diagram.edge_data[e.id]
@@ -604,11 +612,12 @@ def diagram_morphism_of_hom(phi: StarHom, src_diagram: ShapedDiagram,
                     witness={"edge": e.id, "from": fa, "to": fb})
             edge_map[e.id] = path
         elif arrow.kind == "rotation":
-            u_image = phi.apply(arrow.unitary.u)
-            target_atoms = dst_diagram.node_data[fa].atoms
-            trivial = all(
-                u_image * p * u_image.adjoint() == p for p in target_atoms)
-            if trivial:
+            # one image per rotation: a dense image is checked unitary once
+            image = rotation_images.get(arrow.unitary)
+            if image is None:
+                image = phi.apply_rotation(arrow.unitary)
+                rotation_images[arrow.unitary] = image
+            if image.acts_trivially_on(dst_diagram.node_data[fa].atoms):
                 if fa != fb:
                     raise VerificationError(
                         "trivial rotation image with distinct endpoint images",
@@ -617,7 +626,7 @@ def diagram_morphism_of_hom(phi: StarHom, src_diagram: ShapedDiagram,
                 continue
             hit = None
             for r, beta in enumerate(dst_rotations):
-                if beta.u == u_image and (r, fa) in dst_rot_edges:
+                if (r, fa) in dst_rot_edges and beta == image:
                     hit = dst_rot_edges[(r, fa)]
                     break
             if hit is None:
@@ -655,9 +664,8 @@ def image_closed_spec(phi: StarHom, diagram: ShapedDiagram) -> SubdiagramSpec:
     for nid in diagram.meta["base_ids"]:
         masks = (phi.apply(p).diag_mask for p in diagram.node_data[nid].atoms)
         partitions.append(tuple(mask for mask in masks if mask))
-    images = tuple(
-        InnerAutomorphism(phi.apply(alpha.u), name=f"phi({alpha.name})")
-        for alpha in diagram.meta["rotations"])
+    images = tuple(phi.apply_rotation(alpha)
+                   for alpha in diagram.meta["rotations"])
     base = SubdiagramSpec.default(phi.codomain)
     return SubdiagramSpec(rotations=base.rotations + images,
                           partitions=tuple(partitions), label="default+images")

@@ -77,17 +77,39 @@ def dump_element(element: AlgebraElement):
     return {"parts": [dump_matrix(p) for p in element.parts]}
 
 
+def _is_int_rows(value, width=None) -> bool:
+    """Whether value is a list of lists of integers (no bools), each of
+    length width when one is given."""
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(_is_int(x) for x in row)
+        and (width is None or len(row) == width) for row in value)
+
+
 def load_hom(data) -> StarHom:
+    if not isinstance(data, dict):
+        raise ValidationError("hom JSON must be an object")
     for field in ("domain", "codomain", "multiplicity"):
         if field not in data:
             raise ValidationError(f"hom JSON is missing {field!r}")
     domain = load_algebra(data["domain"])
     codomain = load_algebra(data["codomain"])
+    multiplicity = data["multiplicity"]
+    if not _is_int_rows(multiplicity):
+        raise ValidationError(f"hom multiplicity must be a list of rows of "
+                              f"integers, got {multiplicity!r}")
     assignment = data.get("assignment")
     if assignment is not None:
+        if not isinstance(assignment, list) or not all(
+                _is_int_rows(row, width=2) for row in assignment):
+            raise ValidationError(
+                f"hom assignment must list, per codomain block, [block, "
+                f"copy] pairs of integers, got {assignment!r}")
         assignment = [[tuple(slot) for slot in row] for row in assignment]
-    return StarHom(domain, codomain, data["multiplicity"],
-                   unital=bool(data.get("unital", True)),
+    unital = data.get("unital", True)
+    if not isinstance(unital, bool):
+        raise ValidationError(f"hom unital must be true or false, "
+                              f"got {unital!r}")
+    return StarHom(domain, codomain, multiplicity, unital=unital,
                    assignment=assignment)
 
 
@@ -159,30 +181,60 @@ def load_spec(data, algebra: MultiMatrixAlgebra) -> SubdiagramSpec:
                           label=str(data.get("label", "file")))
 
 
+def _diagram_json(data, node_field, edge_field):
+    """(node list, node ids, edges) of diagram JSON, each edge as (id,
+    source, target, edge_field value).  Every node needs "id" and
+    node_field, every edge "source", "target" and edge_field, and both
+    endpoints of an edge must be nodes."""
+    if not isinstance(data, dict) or "nodes" not in data or "edges" not in data:
+        raise ValidationError('diagram JSON needs "nodes" and "edges"')
+    nodes, edges = data["nodes"], data["edges"]
+    if not isinstance(nodes, list) or not isinstance(edges, list):
+        raise ValidationError('diagram "nodes" and "edges" must be lists')
+    node_ids = []
+    for k, node in enumerate(nodes):
+        if not isinstance(node, dict) or "id" not in node \
+                or node_field not in node:
+            raise ValidationError(
+                f'diagram node {k} needs "id" and "{node_field}"')
+        node_ids.append(str(node["id"]))
+    known = set(node_ids)
+    out = []
+    for k, edge in enumerate(edges):
+        if not isinstance(edge, dict):
+            raise ValidationError(f"diagram edge e{k} must be an object")
+        eid = str(edge.get("id", f"e{k}"))
+        for field in ("source", "target", edge_field):
+            if field not in edge:
+                raise ValidationError(
+                    f'diagram edge {eid!r} needs "{field}"')
+        src, dst = str(edge["source"]), str(edge["target"])
+        for end, nid in (("source", src), ("target", dst)):
+            if nid not in known:
+                raise ValidationError(
+                    f"diagram edge {eid!r}: {end} {nid!r} is not a node")
+        out.append((eid, src, dst, edge[edge_field]))
+    return nodes, node_ids, out
+
+
 def load_ab_diagram(data) -> ShapedDiagram:
     """Diagram of presented abelian groups: nodes carry ngens/relations,
     edges carry generator-image matrices."""
-    if "nodes" not in data or "edges" not in data:
-        raise ValidationError('diagram JSON needs "nodes" and "edges"')
+    nodes, node_ids, edge_list = _diagram_json(data, "ngens", "images")
     variance = data.get("variance", COVARIANT)
     node_data = {}
-    node_ids = []
-    for node in data["nodes"]:
-        nid = str(node["id"])
-        node_ids.append(nid)
+    for nid, node in zip(node_ids, nodes):
         node_data[nid] = PresentedAbGroup(node["ngens"],
                                           node.get("relations", []))
     edges = []
     edge_data = {}
-    for k, edge in enumerate(data["edges"]):
-        eid = str(edge.get("id", f"e{k}"))
-        src, dst = str(edge["source"]), str(edge["target"])
+    for eid, src, dst, images in edge_list:
         edges.append((eid, src, dst))
         if variance == COVARIANT:
             dom, cod = node_data[src], node_data[dst]
         else:
             dom, cod = node_data[dst], node_data[src]
-        edge_data[eid] = AbHom(dom, cod, edge["images"])
+        edge_data[eid] = AbHom(dom, cod, images)
     shape = Shape(node_ids, edges)
     return ShapedDiagram(shape, node_data, edge_data, variance)
 
@@ -192,27 +244,24 @@ def load_space_diagram(data) -> ShapedDiagram:
     domain points per the declared variance (for the contravariant
     diagrams used by the limit command, that is the target node's
     points)."""
-    if "nodes" not in data or "edges" not in data:
-        raise ValidationError('diagram JSON needs "nodes" and "edges"')
+    nodes, node_ids, edge_list = _diagram_json(data, "points", "assignment")
     variance = data.get("variance", CONTRAVARIANT)
     node_data = {}
-    node_ids = []
-    for node in data["nodes"]:
-        nid = str(node["id"])
-        node_ids.append(nid)
+    for nid, node in zip(node_ids, nodes):
         node_data[nid] = FiniteSpace(tuple(str(p) for p in node["points"]))
     edges = []
     edge_data = {}
-    for k, edge in enumerate(data["edges"]):
-        eid = str(edge.get("id", f"e{k}"))
-        src, dst = str(edge["source"]), str(edge["target"])
+    for eid, src, dst, assignment in edge_list:
+        if not isinstance(assignment, dict):
+            raise ValidationError(
+                f"diagram edge {eid!r}: assignment must be an object")
         edges.append((eid, src, dst))
         if variance == COVARIANT:
             dom, cod = node_data[src], node_data[dst]
         else:
             dom, cod = node_data[dst], node_data[src]
         edge_data[eid] = SpaceMap(dom, cod, {str(a): str(b) for a, b in
-                                             edge["assignment"].items()})
+                                             assignment.items()})
     shape = Shape(node_ids, edges)
     return ShapedDiagram(shape, node_data, edge_data, variance)
 

@@ -73,6 +73,56 @@ class TestInvalidInput:
         assert text.startswith("error: ")
         assert key in text
 
+    @pytest.mark.parametrize("field", [
+        '"multiplicity":[[2.5]]', '"multiplicity":[[true]]',
+        '"multiplicity":[["2"]]', '"multiplicity":2',
+        '"multiplicity":[[2]],"assignment":[[[0,0],[0,1.5]]]',
+        '"multiplicity":[[2]],"assignment":[[[0,0],[false,1]]]',
+        '"multiplicity":[[2]],"assignment":[[[0,0],[1,0]]]',
+        '"multiplicity":[[2]],"assignment":[[[0,0],[0,0]]]',
+        '"multiplicity":[[2]],"assignment":[[[0,0]]]',
+        '"multiplicity":[[2]],"unital":"yes"',
+    ])
+    def test_bad_hom_exit_one(self, field):
+        hom = ('{"domain":{"blocks":[1]},"codomain":{"blocks":[2]},'
+               + field + '}')
+        code, text = run_cli("verify", "theorem1",
+                             "--algebra", '{"blocks":[1]}', "--hom", hom)
+        assert code == 1
+        assert text.startswith("error: ")
+
+    def test_hom_with_explicit_assignment_accepted(self):
+        hom = ('{"domain":{"blocks":[1]},"codomain":{"blocks":[2]},'
+               '"multiplicity":[[2]],"assignment":[[[0,1],[0,0]]]}')
+        code, text = run_cli("verify", "theorem1",
+                             "--algebra", '{"blocks":[1]}', "--hom", hom)
+        assert code == 0
+        assert "naturality square: PASS" in text
+
+    @pytest.mark.parametrize("command,diagram,named", [
+        ("colimit", '{"nodes":[{"id":"a","ngens":1}],"edges":[{"source":"a",'
+                    '"target":"zz","images":[[1]]}]}', "'zz'"),
+        ("colimit", '{"nodes":[{"id":"a","ngens":1}],"edges":[{"id":"u",'
+                    '"source":"yy","target":"a","images":[[1]]}]}', "'yy'"),
+        ("colimit", '{"nodes":[{"id":"a","ngens":1}],"edges":[{"id":"u",'
+                    '"source":"a","target":"a"}]}', "'u'"),
+        ("colimit", '{"nodes":[{"ngens":1}],"edges":[]}', '"id"'),
+        ("colimit", '{"nodes":[{"id":"a"}],"edges":[]}', '"ngens"'),
+        ("limit", '{"nodes":[{"id":"a","ngens":1}],"edges":[{"source":"a",'
+                  '"target":"zz","images":[[1]]}]}', '"points"'),
+        ("limit", '{"nodes":[{"id":"a","points":["x"]}],"edges":[{"source":'
+                  '"a","target":"zz","assignment":{"x":"x"}}]}', "'zz'"),
+        ("limit", '{"nodes":[{"id":"a","points":["x"]}],"edges":[{"id":"i",'
+                  '"source":"a","target":"a"}]}', "'i'"),
+        ("limit", '{"nodes":[{"id":"a","points":["x"]}],"edges":[{"id":"i",'
+                  '"source":"a","target":"a","assignment":["x"]}]}', "'i'"),
+    ])
+    def test_bad_diagram_exit_one(self, command, diagram, named):
+        code, text = run_cli(command, "--diagram", diagram)
+        assert code == 1
+        assert text.startswith("error: ")
+        assert named in text
+
     def test_spec_partitions_accepted(self):
         code, text = run_cli("k0", "--algebra", '{"blocks":[3]}',
                              "--method", "diagram",
