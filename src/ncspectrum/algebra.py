@@ -314,7 +314,7 @@ class StarHom:
     """
 
     __slots__ = ("domain", "codomain", "multiplicity", "unital", "assignment",
-                 "_coord_map")
+                 "_coord_map", "_rotation_images")
 
     def __init__(self, domain, codomain, multiplicity, unital,
                  assignment=None):
@@ -352,6 +352,7 @@ class StarHom:
         self.unital = bool(unital)
         self.assignment = assignment
         self._coord_map = None
+        self._rotation_images = {}
 
     @classmethod
     def identity(cls, algebra: MultiMatrixAlgebra) -> "StarHom":
@@ -408,29 +409,36 @@ class StarHom:
             parts.append(ExactMatrix.from_rows(rows))
         return AlgebraElement(self.codomain, parts)
 
-    def apply_rotation(self, alpha: "InnerAutomorphism",
-                       name: str = "") -> "InnerAutomorphism":
-        """The image automorphism, conjugation by phi(u); phi must be
-        unital so that phi(u) is unitary.
+    def apply_rotation(self, alpha: "InnerAutomorphism") -> "InnerAutomorphism":
+        """The image automorphism phi(alpha), conjugation by phi(u); phi
+        must be unital so that phi(u) is unitary.
 
         The image of a permutation rotation is the permutation rotation
         read off the coordinate map: copy k of coordinate c goes to copy
-        k of coordinate perm[c].  A dense rotation's image is built
-        densely and checked unitary.
+        k of coordinate perm[c].  A dense rotation's image is placed
+        densely and checked unitary.  Images are cached, so each one is
+        built and checked once per hom.
         """
+        key = (alpha, alpha.name)
+        image = self._rotation_images.get(key)
+        if image is not None:
+            return image
         if not self.unital:
             raise ValidationError("rotation images need a unital hom")
         if alpha.algebra != self.domain:
             raise ValidationError("rotation does not live in the hom's domain")
-        name = name or f"phi({alpha.name})"
+        name = f"phi({alpha.name})"
         if alpha.coord_perm is None:
-            return InnerAutomorphism(self.apply(alpha.u), name=name)
-        cmap = self.coord_map
-        perm = [None] * self.codomain.coord_count
-        for c, targets in enumerate(cmap):
-            for d, e in zip(targets, cmap[alpha.coord_perm[c]]):
-                perm[d] = e
-        return InnerAutomorphism.permutation(self.codomain, perm, name)
+            image = InnerAutomorphism(self.apply(alpha.u), name=name)
+        else:
+            cmap = self.coord_map
+            perm = [None] * self.codomain.coord_count
+            for c, targets in enumerate(cmap):
+                for d, e in zip(targets, cmap[alpha.coord_perm[c]]):
+                    perm[d] = e
+            image = InnerAutomorphism.permutation(self.codomain, perm, name)
+        self._rotation_images[key] = image
+        return image
 
     def compose(self, other: "StarHom") -> "StarHom":
         """self after other.  The inner hom must be unital so that the

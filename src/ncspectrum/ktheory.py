@@ -181,26 +181,19 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
         parts_by_id[nid] = parts
     fine_id = "d:" + partition_label(finest)
 
-    # a rotation that fixes every atom of the finest node fixes every
-    # base node; the conjugates of the finest atoms are kept for reuse
     kept = []
-    fine_raw = []
     for alpha in spec.rotations:
         if alpha.algebra != algebra:
             raise ValidationError("rotation lives in a different algebra")
-        raw = tuple(alpha.conjugate(p) for p in node_data[fine_id].atoms)
-        if raw != node_data[fine_id].atoms:
+        if not alpha.acts_trivially_on(node_data[fine_id].atoms):
             kept.append(alpha)
-            fine_raw.append(raw)
 
     # rotated copies; placement maps raw conjugate order to node atom order
     placements = {}
     for r, alpha in enumerate(kept):
         for bid in base_ids:
-            if bid == fine_id:
-                raw = fine_raw[r]
-            else:
-                raw = tuple(alpha.conjugate(p) for p in node_data[bid].atoms)
+            u = node_data[bid]
+            raw = tuple(alpha.conjugate(p) for p in u.atoms)
             key = frozenset(raw)
             tid = by_key.get(key)
             if tid is None:
@@ -597,7 +590,6 @@ def diagram_morphism_of_hom(phi: StarHom, src_diagram: ShapedDiagram,
 
     dst_rotations = dst_diagram.meta["rotations"]
     dst_rot_edges = dst_diagram.meta["rotation_edges"]
-    rotation_images = {}
     edge_map = {}
     for e in src_diagram.shape.edges:
         arrow = src_diagram.edge_data[e.id]
@@ -612,11 +604,7 @@ def diagram_morphism_of_hom(phi: StarHom, src_diagram: ShapedDiagram,
                     witness={"edge": e.id, "from": fa, "to": fb})
             edge_map[e.id] = path
         elif arrow.kind == "rotation":
-            # one image per rotation: a dense image is checked unitary once
-            image = rotation_images.get(arrow.unitary)
-            if image is None:
-                image = phi.apply_rotation(arrow.unitary)
-                rotation_images[arrow.unitary] = image
+            image = phi.apply_rotation(arrow.unitary)
             if image.acts_trivially_on(dst_diagram.node_data[fa].atoms):
                 if fa != fb:
                     raise VerificationError(

@@ -7,8 +7,12 @@ of permutation rotations are each compared with exact dense matrix
 arithmetic on the same values.  The oracles below work on ExactMatrix
 parts directly, so they never take a fast path themselves.
 
-The seeded tests always run; the property tests draw the same kind of
-case with hypothesis and skip when it is not installed.
+Each case is drawn through a pick (RngPick or DrawPick): block sizes,
+coordinate sets, permutations, multiplicities and slot orders are
+separate draws.  The seeded tests draw them from random.Random and
+always run; the property tests draw them with hypothesis strategies, so
+that a failure shrinks to a minimal algebra, hom and coordinate set,
+and skip when hypothesis is not installed.
 """
 
 import random
@@ -22,10 +26,9 @@ from ncspectrum import (AlgebraElement, ExactMatrix, GaussianRational,
                         transposition_unitary, verify_theorem1)
 
 try:
-    import hypothesis
     from hypothesis import given, settings, strategies as st
 except ImportError:
-    hypothesis = None
+    given = None
 
 SEEDS = range(12)
 
@@ -69,71 +72,136 @@ def dense_ranks(a):
     return tuple(p.rank() for p in a.parts)
 
 
-# -- random cases ----------------------------------------------------------
+# -- drawing cases ---------------------------------------------------------
 
-def random_coords(rng, algebra):
-    return {c for c in range(algebra.coord_count) if rng.random() < 0.5}
+class RngPick:
+    """Draws from a seeded random.Random."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def integer(self, lo, hi):
+        return self.rng.randint(lo, hi)
+
+    def subset(self, n):
+        return frozenset(c for c in range(n) if self.rng.random() < 0.5)
+
+    def permutation(self, items):
+        items = list(items)
+        self.rng.shuffle(items)
+        return items
+
+    def choice(self, items):
+        return self.rng.choice(items)
 
 
-def random_algebra(rng):
+class DrawPick:
+    """Draws with hypothesis strategies, through st.data()."""
+
+    def __init__(self, data):
+        self.draw = data.draw
+
+    def integer(self, lo, hi):
+        return self.draw(st.integers(lo, hi))
+
+    def subset(self, n):
+        return self.draw(st.frozensets(st.integers(0, n - 1)))
+
+    def permutation(self, items):
+        return self.draw(st.permutations(list(items)))
+
+    def choice(self, items):
+        return self.draw(st.sampled_from(items))
+
+
+PHASES = (GaussianRational(1), GaussianRational(-1),
+          GaussianRational(0, 1), GaussianRational(0, -1))
+
+
+def pick_algebra(pick, wide=False):
     """Blocks of size up to 4, so that block permutations need not be
-    involutions."""
-    return MultiMatrixAlgebra([rng.randint(1, 4)
-                               for _ in range(rng.randint(1, 3))])
+    involutions; with wide, the first block has size >= 2."""
+    blocks = [pick.integer(2 if wide and i == 0 else 1, 4)
+              for i in range(pick.integer(1, 3))]
+    return MultiMatrixAlgebra(blocks)
 
 
-def random_hom(rng):
-    """Every other draw is sample_unital_hom's; the rest have domain
-    blocks up to 3 and a shuffled slot assignment."""
-    if rng.random() < 0.5:
-        return sample_unital_hom(rng)
-    while True:
-        dom = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
-        mult = [[rng.randint(0, 2) for _ in dom]
-                for _ in range(rng.randint(1, 3))]
-        cod = [sum(m * n for m, n in zip(row, dom)) for row in mult]
-        if all(cod):
-            break
-    assignment = []
-    for row in mult:
-        slots = [(j, c) for j, m in enumerate(row) for c in range(m)]
-        rng.shuffle(slots)
-        assignment.append(slots)
-    return StarHom(MultiMatrixAlgebra(dom), MultiMatrixAlgebra(cod), mult,
-                   unital=True, assignment=assignment)
-
-
-def random_block_permutation(rng, algebra):
+def pick_block_permutation(pick, algebra):
     perm = []
     offset = 0
     for n in algebra.blocks:
-        block = list(range(offset, offset + n))
-        rng.shuffle(block)
-        perm.extend(block)
+        perm.extend(pick.permutation(range(offset, offset + n)))
         offset += n
     return perm
 
 
-def random_dense_rotation(rng, algebra):
+def pick_dense_rotation(pick, algebra):
     """A Pythagorean rotation of a block of size >= 2 times a diagonal
     phase, or None when every block has size 1."""
     wide = [b for b, n in enumerate(algebra.blocks) if n >= 2]
     if not wide:
         return None
-    pyth = pythagorean_unitary(algebra, rng.choice(wide))
-    phases = [GaussianRational(1), GaussianRational(-1),
-              GaussianRational(0, 1), GaussianRational(0, -1)]
-    parts = [ExactMatrix.diagonal([rng.choice(phases) for _ in range(n)])
-             for n in algebra.blocks]
-    phase = AlgebraElement(algebra, parts)
+    pyth = pythagorean_unitary(algebra, pick.choice(wide))
+    phase = AlgebraElement(algebra, [
+        ExactMatrix.diagonal([pick.choice(PHASES) for _ in range(n)])
+        for n in algebra.blocks])
     return InnerAutomorphism(dense_mul(pyth.u, phase), name="pyth*phase")
 
 
-# -- checks shared by the seeded and the property tests --------------------
+def pick_hom(pick):
+    """A unital hom with domain blocks up to 3, multiplicities up to 2
+    and either the default or a shuffled slot assignment."""
+    dom = [pick.integer(1, 3) for _ in range(pick.integer(1, 3))]
+    mult = [[pick.integer(0, 2) for _ in dom]
+            for _ in range(pick.integer(1, 3))]
+    for row in mult:
+        if not any(row):
+            row[0] = 1
+    cod = [sum(m * n for m, n in zip(row, dom)) for row in mult]
+    assignment = None
+    if pick.integer(0, 1):
+        assignment = [pick.permutation(
+            [(j, c) for j, m in enumerate(row) for c in range(m)])
+            for row in mult]
+    return StarHom(MultiMatrixAlgebra(dom), MultiMatrixAlgebra(cod), mult,
+                   unital=True, assignment=assignment)
 
-def check_mask_form(rng):
-    algebra = random_algebra(rng)
-    ca, cb = random_coords(rng, algebra), random_coords(rng, algebra)
+
+def mask_form_case(pick):
+    algebra = pick_algebra(pick)
+    n = algebra.coord_count
+    return (algebra, pick.subset(n), pick.subset(n),
+            pick_dense_rotation(pick, algebra))
+
+
+def permutation_case(pick):
+    algebra = pick_algebra(pick)
+    return (algebra, pick_block_permutation(pick, algebra),
+            pick_block_permutation(pick, algebra),
+            pick.subset(algebra.coord_count),
+            pick_dense_rotation(pick, algebra))
+
+
+def support_case(pick):
+    algebra = pick_algebra(pick, wide=True)
+    return (pick_dense_rotation(pick, algebra),
+            pick.subset(algebra.coord_count))
+
+
+def hom_apply_case(pick):
+    phi = pick_hom(pick)
+    return phi, pick.subset(phi.domain.coord_count)
+
+
+def rotation_image_case(pick):
+    phi = pick_hom(pick)
+    return (phi, pick_block_permutation(pick, phi.domain),
+            pick.subset(phi.codomain.coord_count))
+
+
+# -- checks ----------------------------------------------------------------
+
+def check_mask_form(algebra, ca, cb, rotation):
     ma, mb = diagonal_projection(algebra, ca), diagonal_projection(algebra, cb)
     da, db = dense_projection(algebra, ca), dense_projection(algebra, cb)
     assert ma == da and da == ma
@@ -153,7 +221,6 @@ def check_mask_form(rng):
     diff = AlgebraElement(algebra, [x - y for x, y in zip(da.parts, db.parts)])
     assert ma - mb == diff and diff == ma - mb
     # products of a mask with a dense non-diagonal element
-    rotation = random_dense_rotation(rng, algebra)
     if rotation is not None:
         r = rotation.conjugate(ma)
         assert (ma * r).parts == dense_mul(da, r).parts
@@ -161,12 +228,10 @@ def check_mask_form(rng):
         assert (ma * rotation.u).parts == dense_mul(da, rotation.u).parts
 
 
-def check_permutation_conjugation(rng):
-    algebra = random_algebra(rng)
-    perm = random_block_permutation(rng, algebra)
+def check_permutation_conjugation(algebra, perm, other_perm, coords,
+                                  rotation):
     alpha = InnerAutomorphism.permutation(algebra, perm, "p")
-    beta = InnerAutomorphism.permutation(
-        algebra, random_block_permutation(rng, algebra), "q")
+    beta = InnerAutomorphism.permutation(algebra, other_perm, "q")
     assert (alpha == beta) == (alpha.u.parts == beta.u.parts)
     u = alpha.u
     assert u.parts == permutation_matrix(algebra, perm).parts
@@ -174,7 +239,6 @@ def check_permutation_conjugation(rng):
     dense_alpha = InnerAutomorphism(AlgebraElement(algebra, u.parts))
     assert alpha == dense_alpha and dense_alpha == alpha
     assert hash(alpha) == hash(dense_alpha)
-    coords = random_coords(rng, algebra)
     p = diagonal_projection(algebra, coords)
     want = dense_conjugate(u, dense_projection(algebra, coords))
     got = alpha.conjugate(p)
@@ -183,18 +247,13 @@ def check_permutation_conjugation(rng):
     assert got.diag_mask == frozenset(perm[c] for c in coords)
     assert alpha.inverse().conjugate(got) == p
     # a non-diagonal element goes through the dense path
-    rotation = random_dense_rotation(rng, algebra)
     if rotation is not None:
         r = rotation.conjugate(p)
         assert alpha.conjugate(r) == dense_conjugate(u, r)
 
 
-def check_support_shortcut(rng):
-    algebra = random_algebra(rng)
-    alpha = random_dense_rotation(rng, algebra)
-    if alpha is None:
-        return
-    coords = random_coords(rng, algebra)
+def check_support_shortcut(alpha, coords):
+    algebra = alpha.algebra
     for mask in (coords, coords | alpha.support, coords - alpha.support):
         p = diagonal_projection(algebra, mask)
         got = alpha.conjugate(p)
@@ -205,9 +264,7 @@ def check_support_shortcut(rng):
             assert got is p
 
 
-def check_hom_apply(rng):
-    phi = random_hom(rng)
-    coords = random_coords(rng, phi.domain)
+def check_hom_apply(phi, coords):
     image = phi.apply(diagonal_projection(phi.domain, coords))
     want = phi._place(dense_projection(phi.domain, coords))
     assert image == want and want == image
@@ -215,9 +272,7 @@ def check_hom_apply(rng):
     assert hash(image) == hash(want)
 
 
-def check_rotation_image(rng):
-    phi = random_hom(rng)
-    perm = random_block_permutation(rng, phi.domain)
+def check_rotation_image(phi, perm, coords):
     alpha = InnerAutomorphism.permutation(phi.domain, perm, "p")
     image = phi.apply_rotation(alpha)
     want = InnerAutomorphism(phi.apply(permutation_matrix(phi.domain, perm)))
@@ -225,29 +280,51 @@ def check_rotation_image(rng):
     assert image == want and want == image
     assert image.u == want.u
     assert hash(image) == hash(want)
-    p = diagonal_projection(phi.codomain, random_coords(rng, phi.codomain))
+    assert phi.apply_rotation(alpha) is image
+    # the image cache tells rotations apart, not only their names
+    identity = InnerAutomorphism.permutation(
+        phi.domain, range(phi.domain.coord_count), "p")
+    assert phi.apply_rotation(identity).coord_perm == tuple(
+        range(phi.codomain.coord_count))
+    p = diagonal_projection(phi.codomain, coords)
     assert image.conjugate(p) == dense_conjugate(want.u, p)
 
 
-CHECKS = (check_mask_form, check_permutation_conjugation,
-          check_support_shortcut, check_hom_apply, check_rotation_image)
+CASES = (
+    (check_mask_form, mask_form_case),
+    (check_permutation_conjugation, permutation_case),
+    (check_support_shortcut, support_case),
+    (check_hom_apply, hom_apply_case),
+    (check_rotation_image, rotation_image_case),
+)
+CASE_IDS = [check.__name__ for check, _ in CASES]
 
 
-@pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("check, case", CASES, ids=CASE_IDS)
 @pytest.mark.parametrize("seed", SEEDS)
-def test_fast_path_matches_dense(check, seed):
-    check(random.Random(seed))
+def test_fast_path_matches_dense(check, case, seed):
+    check(*case(RngPick(random.Random(seed))))
 
 
-if hypothesis is None:
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sampled_hom_matches_dense(seed):
+    rng = random.Random(seed)
+    phi = sample_unital_hom(rng)
+    pick = RngPick(rng)
+    check_hom_apply(phi, pick.subset(phi.domain.coord_count))
+    check_rotation_image(phi, pick_block_permutation(pick, phi.domain),
+                         pick.subset(phi.codomain.coord_count))
+
+
+if given is None:
     def test_property_suite_needs_hypothesis():
         pytest.importorskip("hypothesis")
 else:
-    @pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("check, case", CASES, ids=CASE_IDS)
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1))
-    def test_fast_path_matches_dense_property(check, seed):
-        check(random.Random(seed))
+    @given(data=st.data())
+    def test_fast_path_matches_dense_property(check, case, data):
+        check(*case(DrawPick(data)))
 
 
 class TestPermutation:
