@@ -6,37 +6,93 @@ Pythagorean rotation used elsewhere in the package is exactly
 representable here, so equality checks are genuine algebraic identities
 rather than floating-point comparisons.
 
+A scalar is held as an integer triple (n + m*i)/d with d > 0 and
+gcd(n, m, d) = 1, so each arithmetic step is a few integer products and
+one gcd, and structural equality of triples is exact equality.
+
 All values are immutable after construction and all operations are pure,
 so they can be shared freely between threads.
 """
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
+from math import gcd
 
 from .errors import ValidationError
 
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+_new = object.__new__
 
-def _as_fraction(x) -> Fraction:
+
+def _rational(x):
+    """(numerator, denominator > 0) in lowest terms of a non-bool int, a
+    Fraction or a rational string."""
+    if isinstance(x, int) and not isinstance(x, bool):
+        return x, 1
     if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise ValueError(f"cannot interpret {x!r} as an exact rational")
+        return x.numerator, x.denominator
+    if isinstance(x, str):
+        try:
+            f = Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            pass
+        else:
+            return f.numerator, f.denominator
+    raise ValidationError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _part_hash(num: int, den: int, dinv) -> int:
+    """hash(Fraction(num, den)); dinv is den's inverse modulo the hash
+    modulus, or None when the modulus divides den."""
+    if dinv is None:
+        g = gcd(num, den)
+        num, den = num // g, den // g
+        if den % _HASH_MODULUS:
+            dinv = pow(den, -1, _HASH_MODULUS)
+    # the numeric hash of a rational, as Fraction.__hash__ computes it
+    h = _HASH_INF if dinv is None else hash(hash(abs(num)) * dinv)
+    h = h if num >= 0 else -h
+    return -2 if h == -1 else h
+
+
+def _make(n: int, m: int, d: int) -> "GaussianRational":
+    """The scalar (n + m*i)/d of a triple already in lowest terms."""
+    z = _new(GaussianRational)
+    z.n, z.m, z.d = n, m, d
+    return z
+
+
+def _reduced(n: int, m: int, d: int) -> "GaussianRational":
+    """The scalar (n + m*i)/d for any d > 0, brought to lowest terms."""
+    g = gcd(n, m, d)
+    if g != 1:
+        n, m, d = n // g, m // g, d // g
+    return _make(n, m, d)
 
 
 class GaussianRational:
-    """A complex number re + im*i with exact rational parts.
+    """A complex number (n + m*i)/d with integers n, m and d.
 
-    Fraction keeps itself in lowest terms, so structural equality is
-    exact equality.
+    The triple is in lowest terms (d > 0, gcd(n, m, d) = 1), so
+    structural equality is exact equality; re and im are the parts as
+    Fractions, and the hash is that of the pair (re, im).
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("n", "m", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = _as_fraction(re)
-        self.im = _as_fraction(im)
+        a, b = _rational(re)
+        c, e = _rational(im)
+        if b == e:
+            # both parts in lowest terms over b: gcd(a, c, b) = 1
+            self.n, self.m, self.d = a, c, b
+        else:
+            # over the least common denominator the triple is reduced
+            d = b // gcd(b, e) * e
+            self.n, self.m, self.d = a * (d // b), c * (d // e), d
 
     @classmethod
     def coerce(cls, x) -> "GaussianRational":
@@ -46,53 +102,76 @@ class GaussianRational:
             return cls(x[0], x[1])
         return cls(x)
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.n, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.m, self.d)
+
     def __add__(self, other):
-        return GaussianRational(self.re + other.re, self.im + other.im)
+        d = self.d
+        if d == other.d:
+            return _reduced(self.n + other.n, self.m + other.m, d)
+        e = other.d
+        return _reduced(self.n * e + other.n * d, self.m * e + other.m * d,
+                        d * e)
 
     def __sub__(self, other):
-        return GaussianRational(self.re - other.re, self.im - other.im)
+        d = self.d
+        if d == other.d:
+            return _reduced(self.n - other.n, self.m - other.m, d)
+        e = other.d
+        return _reduced(self.n * e - other.n * d, self.m * e - other.m * d,
+                        d * e)
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self.n, -self.m, self.d)
 
     def __mul__(self, other):
-        return GaussianRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.n, self.m, other.n, other.m
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def __truediv__(self, other):
-        n = other.re * other.re + other.im * other.im
-        if n == 0:
+        c, e = other.n, other.m
+        norm = c * c + e * e
+        if not norm:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+        # (a + b i)/d / ((c + e i)/f) = f (a + b i)(c - e i) / (d |c + e i|^2)
+        a, b, f = self.n, self.m, other.d
+        return _reduced(f * (a * c + b * e), f * (b * c - a * e),
+                        self.d * norm)
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self.n, -self.m, self.d) if self.m else self
 
     def is_zero(self) -> bool:
-        return not self.re and not self.im
+        return not self.n and not self.m
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.n or self.m)
 
     def __eq__(self, other):
         if not isinstance(other, GaussianRational):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return (self.n == other.n and self.m == other.m
+                and self.d == other.d)
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        d = self.d
+        if d == 1:
+            return hash((self.n, self.m))
+        dinv = pow(d, -1, _HASH_MODULUS) if d % _HASH_MODULUS else None
+        return hash((_part_hash(self.n, d, dinv),
+                     _part_hash(self.m, d, dinv)))
 
     def __repr__(self):
-        if not self.im:
+        if not self.m:
             return str(self.re)
-        if not self.re:
+        if not self.n:
             return f"{self.im}i"
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self.m > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
     def to_pair(self) -> list:
@@ -101,14 +180,11 @@ class GaussianRational:
 
     @classmethod
     def from_json(cls, data) -> "GaussianRational":
-        """Parse "3/5" or ["3/5", "-4/5"]."""
-        if isinstance(data, str):
-            return cls(data)
+        """Parse 3, "3/5" or ["3/5", "-4/5"]: a part is a non-bool int or
+        a rational string."""
         if isinstance(data, (list, tuple)) and len(data) == 2:
-            return cls(data[0], data[1])
-        if isinstance(data, int):
-            return cls(data)
-        raise ValueError(f"cannot parse scalar from {data!r}")
+            return cls(*data)
+        return cls(data)
 
 
 GR_ZERO = GaussianRational(0)
@@ -148,7 +224,10 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "entries", "_hash")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(GaussianRational.coerce(e) for e in entries)
+        entries = tuple(entries)
+        # map(type) runs in C; only other entry types need converting
+        if set(map(type, entries)) - {GaussianRational}:
+            entries = tuple(GaussianRational.coerce(e) for e in entries)
         if len(entries) != rows * cols:
             raise ValidationError(
                 f"entry count {len(entries)} != {rows}x{cols}"
@@ -218,27 +297,44 @@ class ExactMatrix:
         return ExactMatrix(self.rows, self.cols, [-e for e in self.entries])
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Matrix product, skipping zero entries of the left factor."""
+        """Matrix product over the integer triples of the entries,
+        skipping zero entries of both factors; each output entry is
+        summed over the product of the denominators it meets and
+        reduced once."""
         if self.cols != other.rows:
             raise ValidationError(
                 f"shape mismatch in mul: {self.rows}x{self.cols} times "
                 f"{other.rows}x{other.cols}"
             )
-        out = [GR_ZERO] * (self.rows * other.cols)
-        oc = other.cols
+        inner, oc = self.cols, other.cols
+        left, right = self.entries, other.entries
+        right_rows = [
+            [(j, b.n, b.m, b.d)
+             for j, b in enumerate(right[k * oc:(k + 1) * oc])
+             if b.n or b.m]
+            for k in range(inner)]
+        out = []
         for i in range(self.rows):
-            base = i * self.cols
-            for k in range(self.cols):
-                a = self.entries[base + k]
-                if a.is_zero():
+            nre, nim, den = [0] * oc, [0] * oc, [1] * oc
+            for k, a in enumerate(left[i * inner:(i + 1) * inner]):
+                an, am, ad = a.n, a.m, a.d
+                if not an and not am:
                     continue
-                obase = k * oc
-                rbase = i * oc
-                for j in range(oc):
-                    b = other.entries[obase + j]
-                    if not b.is_zero():
-                        out[rbase + j] = out[rbase + j] + a * b
-        return ExactMatrix(self.rows, other.cols, out)
+                for j, bn, bm, bd in right_rows[k]:
+                    pn = an * bn - am * bm
+                    pm = an * bm + am * bn
+                    pd = ad * bd
+                    d = den[j]
+                    if d == pd:
+                        nre[j] += pn
+                        nim[j] += pm
+                    else:
+                        nre[j] = nre[j] * pd + pn * d
+                        nim[j] = nim[j] * pd + pm * d
+                        den[j] = d * pd
+            out.extend(_reduced(n, m, d) if n or m else GR_ZERO
+                       for n, m, d in zip(nre, nim, den))
+        return ExactMatrix(self.rows, oc, out)
 
     def scale(self, c) -> "ExactMatrix":
         c = GaussianRational.coerce(c)
@@ -246,11 +342,9 @@ class ExactMatrix:
 
     def adjoint(self) -> "ExactMatrix":
         """Conjugate transpose."""
-        return ExactMatrix(
-            self.cols, self.rows,
-            [self.entry(i, j).conjugate()
-             for j in range(self.cols) for i in range(self.rows)],
-        )
+        cols = self.cols
+        return ExactMatrix(cols, self.rows, [
+            e.conjugate() for j in range(cols) for e in self.entries[j::cols]])
 
     def kron(self, other: "ExactMatrix") -> "ExactMatrix":
         """Kronecker product, shape (p*r) x (q*s)."""
@@ -360,7 +454,8 @@ class ExactMatrix:
 
     @classmethod
     def from_json(cls, data) -> "ExactMatrix":
-        if not isinstance(data, list) or not data:
+        if not isinstance(data, list) or not data \
+                or not all(isinstance(row, list) for row in data):
             raise ValidationError("matrix JSON must be a non-empty list of rows")
         rows = [[GaussianRational.from_json(e) for e in row] for row in data]
         return cls.from_rows(rows)

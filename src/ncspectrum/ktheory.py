@@ -577,7 +577,7 @@ def diagram_morphism_of_hom(phi: StarHom, src_diagram: ShapedDiagram,
     components = {}
     for nid in src_diagram.shape.nodes:
         node = src_diagram.node_data[nid]
-        images = (phi.apply(p) for p in node.atoms)
+        images = tuple(phi.apply(p) for p in node.atoms)
         key = frozenset(q for q in images if not q.is_zero())
         target_id = dst_diagram.meta["by_key"].get(key)
         if target_id is None:
@@ -586,7 +586,8 @@ def diagram_morphism_of_hom(phi: StarHom, src_diagram: ShapedDiagram,
                 witness={"node": nid})
         node_map[nid] = target_id
         components[nid] = SubalgebraArrow.hom_restriction(
-            phi, node, codomain=dst_diagram.node_data[target_id])
+            phi, node, codomain=dst_diagram.node_data[target_id],
+            images=images)
 
     dst_rotations = dst_diagram.meta["rotations"]
     dst_rot_edges = dst_diagram.meta["rotation_edges"]

@@ -316,13 +316,16 @@ class SubalgebraArrow:
 
     @classmethod
     def hom_restriction(cls, phi: StarHom, u: CommSubalgebra,
-                        codomain: CommSubalgebra | None = None) -> "SubalgebraArrow":
-        """phi restricted to U, landing in phi(U) (unital phi only)."""
+                        codomain: CommSubalgebra | None = None,
+                        images=None) -> "SubalgebraArrow":
+        """phi restricted to U, landing in phi(U) (unital phi only);
+        images, when given, are phi of U's atoms in their order."""
         if not phi.unital:
             raise ValidationError("restriction requires a unital hom")
         if u.algebra != phi.domain:
             raise ValidationError("subalgebra does not live in the hom's domain")
-        images = tuple(phi.apply(p) for p in u.atoms)
+        if images is None:
+            images = tuple(phi.apply(p) for p in u.atoms)
         if codomain is None:
             nonzero = sorted((q for q in images if not q.is_zero()),
                              key=_atom_sort_key)

@@ -123,6 +123,34 @@ class TestInvalidInput:
         assert text.startswith("error: ")
         assert named in text
 
+    @pytest.mark.parametrize("entry, named", [
+        ("true", "True"), ("1.0", "1.0"), ('"1/0"', "'1/0'"),
+        ('"nan"', "'nan'"), ('["1", false]', "False"), ("[1]", "[1]"),
+    ])
+    def test_bad_spec_scalar_exit_one(self, entry, named):
+        spec = ('{"rotations":[{"parts":[[[%s,0],[0,1]]]}]}' % entry)
+        code, text = run_cli("k0", "--algebra", '{"blocks":[1]}',
+                             "--method", "diagram", "--stabilize", "2",
+                             "--spec", spec)
+        assert code == 1
+        assert text.startswith("error: ")
+        assert named in text
+
+    def test_matrix_rows_must_be_lists(self):
+        code, text = run_cli("k0", "--algebra", '{"blocks":[1]}',
+                             "--method", "diagram", "--stabilize", "2",
+                             "--spec", '{"rotations":[{"parts":[[1,0]]}]}')
+        assert code == 1
+        assert text.startswith("error: ")
+
+    def test_bool_identity_rotation_rejected(self):
+        spec = '{"rotations":[{"parts":[[[true,false],[false,true]]]}]}'
+        code, text = run_cli("k0", "--algebra", '{"blocks":[1]}',
+                             "--method", "diagram", "--stabilize", "2",
+                             "--spec", spec)
+        assert code == 1
+        assert text.startswith("error: ")
+
     def test_spec_partitions_accepted(self):
         code, text = run_cli("k0", "--algebra", '{"blocks":[3]}',
                              "--method", "diagram",
@@ -261,3 +289,91 @@ class TestDeterminism:
         code2, text2 = run_cli(*argv)
         assert code1 == code2
         assert text1 == text2
+
+
+_Z = "0"
+# two Pythagorean rotations and a permutation with phase i, all given as
+# dense unitaries of the stabilized M_4
+DENSE_SPEC = {
+    "label": "dense",
+    "rotations": [
+        {"parts": [[["3/5", "4/5", _Z, _Z], ["-4/5", "3/5", _Z, _Z],
+                    [_Z, _Z, "1", _Z], [_Z, _Z, _Z, "1"]]]},
+        {"parts": [[["1", _Z, _Z, _Z], [_Z, _Z, [_Z, "1"], _Z],
+                    [_Z, [_Z, "1"], _Z, _Z], [_Z, _Z, _Z, "1"]]]},
+        {"parts": [[["1", _Z, _Z, _Z], [_Z, "1", _Z, _Z],
+                    [_Z, _Z, "5/13", [_Z, "12/13"]],
+                    [_Z, _Z, [_Z, "12/13"], "5/13"]]]},
+    ],
+}
+_COARSE = ("generator class is not identified with its rank class; "
+           "the subdiagram sample is too coarse")
+_CLASSES = ["Z^3", "block 0: class {'1': 1}", "block 1: class {'3': 1}",
+            "block 2: class {'7': 1}"]
+_THEOREM1_PASS = {"error": None, "k0": [2, []], "ktilde": [2, []], "m": 2,
+                  "ok": True, "witness": None}
+
+# (argv, exit code, text lines or the JSON object printed); "SPEC" stands
+# for a file holding DENSE_SPEC
+GOLDEN = [
+    (("k0", "--algebra", '{"blocks":[1,2,3]}', "--method", "diagram",
+      "--stabilize", "2"), 0, _CLASSES),
+    (("--format", "json", "k0", "--algebra", '{"blocks":[1,2,3]}',
+      "--method", "diagram", "--stabilize", "2"), 0,
+     {"classes": [{"block": 0, "class": {"1": 1}},
+                  {"block": 1, "class": {"3": 1}},
+                  {"block": 2, "class": {"7": 1}}],
+      "group": "Z^3", "text": _CLASSES}),
+    (("verify", "theorem1", "--algebra", '{"blocks":[2]}',
+      "--random-homs", "20"), 0,
+     ["theorem1 (m=2): PASS", "random naturality (20 homs, seed 0): PASS"]),
+    (("--format", "json", "verify", "theorem1", "--algebra",
+      '{"blocks":[2,3]}', "--random-homs", "20"), 0,
+     {"algebra": {"blocks": [2, 3]},
+      "random_naturality": {"count": 20, "failures": [], "seed": 0},
+      "text": ["theorem1 (m=2): PASS",
+               "random naturality (20 homs, seed 0): PASS"],
+      "theorem1": _THEOREM1_PASS}),
+    (("ideals", "--algebra", '{"blocks":[2,3]}'), 0,
+     ["total ideals: 4", "t_tilde lattice: 4 elements",
+      "lattice isomorphism: PASS", "partial-ideal round trip: PASS",
+      "spec: default(rotations=[swap[b0:0,1],pyth[b0],swap[b1:0,1],"
+      "swap[b1:1,2],pyth[b1]], partitions=[])"]),
+    (("k0", "--algebra", '{"blocks":[2]}', "--method", "diagram",
+      "--stabilize", "2", "--spec", "SPEC"), 0,
+     ["Z^3", "block 0: class {'1': 1}"]),
+    (("ideals", "--algebra", '{"blocks":[4]}', "--spec", "SPEC"), 2,
+     ["total ideals: 2", "t_tilde lattice: 8 elements",
+      "lattice isomorphism: FAIL", "partial-ideal round trip: FAIL",
+      "spec: dense(rotations=[u0,u1,u2], partitions=[])",
+      "witness: {'family': (frozenset({'p0'}), frozenset({'p0'}), "
+      "frozenset({'p0'}), frozenset({'p0'})), 'failure': 'candidate "
+      "blocks [0] restrict to [0] but the choice is []', 'node': "
+      "'d:0,1,2,3'}"]),
+    (("--format", "json", "verify", "theorem1", "--algebra",
+      '{"blocks":[2]}', "--spec", "SPEC"), 2,
+     {"algebra": {"blocks": [2]},
+      "text": ["theorem1 (m=2): FAIL", "witness: " + _COARSE],
+      "theorem1": {"error": _COARSE, "k0": [1, []], "ktilde": [], "m": 2,
+                   "ok": False,
+                   "witness": {"generator": ["d:0,1,2,3", 0],
+                               "rank_vector": [4]}}}),
+]
+
+
+class TestGoldenOutput:
+    """The exact output of README-style commands, as the Fraction-pair
+    scalars printed it.  TestDeterminism compares two runs of one build;
+    this pins the bytes across builds."""
+
+    @pytest.mark.parametrize("argv, code, want", GOLDEN,
+                             ids=[" ".join(g[0]) for g in GOLDEN])
+    def test_output_is_pinned(self, argv, code, want, tmp_path):
+        spec = tmp_path / "dense.json"
+        spec.write_text(json.dumps(DENSE_SPEC))
+        got_code, text = run_cli(*(str(spec) if a == "SPEC" else a
+                                   for a in argv))
+        if isinstance(want, dict):
+            want = json.dumps(want, sort_keys=True, indent=2).splitlines()
+        assert (got_code, text) == (code, "".join(
+            line + "\n" for line in want))

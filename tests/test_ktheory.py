@@ -306,6 +306,24 @@ class TestInducedFunctoriality:
         h_comp = colimit_induced(ab_comp, ab_a, ab_c, c_a, c_c)
         assert h_psi.compose(h_phi).equal_as_maps(h_comp)
 
+    def test_morphism_applies_phi_once_per_atom(self, monkeypatch):
+        from ncspectrum.ktheory import (diagram_morphism_of_hom,
+                                        image_closed_spec)
+
+        phi = StarHom(M2, MultiMatrixAlgebra([4]), [[2]], unital=True)
+        src = build_subdiagram(M2)
+        dst = build_subdiagram(phi.codomain, image_closed_spec(phi, src))
+        want = {nid: tuple(phi.apply(p) for p in src.node_data[nid].atoms)
+                for nid in src.shape.nodes}
+        calls = []
+        apply = StarHom.apply
+        monkeypatch.setattr(StarHom, "apply",
+                            lambda hom, a: calls.append(a) or apply(hom, a))
+        morphism = diagram_morphism_of_hom(phi, src, dst)
+        assert len(calls) == sum(len(atoms) for atoms in want.values())
+        for nid, images in want.items():
+            assert morphism.components[nid].images == images
+
 
 class TestNonUnital:
     def test_m2_matches_standard(self):
