@@ -224,10 +224,7 @@ class ExactMatrix:
     __slots__ = ("rows", "cols", "entries", "_hash")
 
     def __init__(self, rows: int, cols: int, entries):
-        entries = tuple(entries)
-        # map(type) runs in C; only other entry types need converting
-        if set(map(type, entries)) - {GaussianRational}:
-            entries = tuple(GaussianRational.coerce(e) for e in entries)
+        entries = tuple(GaussianRational.coerce(e) for e in entries)
         if len(entries) != rows * cols:
             raise ValidationError(
                 f"entry count {len(entries)} != {rows}x{cols}"
@@ -297,43 +294,24 @@ class ExactMatrix:
         return ExactMatrix(self.rows, self.cols, [-e for e in self.entries])
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Matrix product over the integer triples of the entries,
-        skipping zero entries of both factors; each output entry is
-        summed over the product of the denominators it meets and
-        reduced once."""
+        """Matrix product, skipping zero entries of both factors."""
         if self.cols != other.rows:
             raise ValidationError(
                 f"shape mismatch in mul: {self.rows}x{self.cols} times "
                 f"{other.rows}x{other.cols}"
             )
         inner, oc = self.cols, other.cols
-        left, right = self.entries, other.entries
-        right_rows = [
-            [(j, b.n, b.m, b.d)
-             for j, b in enumerate(right[k * oc:(k + 1) * oc])
-             if b.n or b.m]
-            for k in range(inner)]
+        right = other.entries
+        right_rows = [[(j, b) for j, b in enumerate(right[k * oc:(k + 1) * oc])
+                       if b] for k in range(inner)]
         out = []
         for i in range(self.rows):
-            nre, nim, den = [0] * oc, [0] * oc, [1] * oc
-            for k, a in enumerate(left[i * inner:(i + 1) * inner]):
-                an, am, ad = a.n, a.m, a.d
-                if not an and not am:
-                    continue
-                for j, bn, bm, bd in right_rows[k]:
-                    pn = an * bn - am * bm
-                    pm = an * bm + am * bn
-                    pd = ad * bd
-                    d = den[j]
-                    if d == pd:
-                        nre[j] += pn
-                        nim[j] += pm
-                    else:
-                        nre[j] = nre[j] * pd + pn * d
-                        nim[j] = nim[j] * pd + pm * d
-                        den[j] = d * pd
-            out.extend(_reduced(n, m, d) if n or m else GR_ZERO
-                       for n, m, d in zip(nre, nim, den))
+            row = [GR_ZERO] * oc
+            for k, a in enumerate(self.entries[i * inner:(i + 1) * inner]):
+                if a:
+                    for j, b in right_rows[k]:
+                        row[j] = row[j] + a * b
+            out.extend(row)
         return ExactMatrix(self.rows, oc, out)
 
     def scale(self, c) -> "ExactMatrix":

@@ -586,8 +586,7 @@ def diagram_morphism_of_hom(phi: StarHom, src_diagram: ShapedDiagram,
                 witness={"node": nid})
         node_map[nid] = target_id
         components[nid] = SubalgebraArrow.hom_restriction(
-            phi, node, codomain=dst_diagram.node_data[target_id],
-            images=images)
+            phi, node, images, codomain=dst_diagram.node_data[target_id])
 
     dst_rotations = dst_diagram.meta["rotations"]
     dst_rot_edges = dst_diagram.meta["rotation_edges"]

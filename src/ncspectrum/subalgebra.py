@@ -31,7 +31,10 @@ def _atom_sort_key(p: AlgebraElement):
         if lead is not None:
             break
         offset += part.rows
-    serial = tuple((e.re, e.im) for part in p.parts for e in part.entries)
+    # re and im as exact numbers: ints when integral, which skips
+    # building Fractions and compares with Fractions exactly
+    serial = tuple((e.n, e.m) if e.d == 1 else (e.re, e.im)
+                   for part in p.parts for e in part.entries)
     return (lead if lead is not None else -1, serial)
 
 
@@ -315,17 +318,14 @@ class SubalgebraArrow:
         return cls(u, codomain, images, kind="rotation", unitary=alpha)
 
     @classmethod
-    def hom_restriction(cls, phi: StarHom, u: CommSubalgebra,
-                        codomain: CommSubalgebra | None = None,
-                        images=None) -> "SubalgebraArrow":
+    def hom_restriction(cls, phi: StarHom, u: CommSubalgebra, images,
+                        codomain: CommSubalgebra | None = None) -> "SubalgebraArrow":
         """phi restricted to U, landing in phi(U) (unital phi only);
-        images, when given, are phi of U's atoms in their order."""
+        images is the tuple of phi of U's atoms in their order."""
         if not phi.unital:
             raise ValidationError("restriction requires a unital hom")
         if u.algebra != phi.domain:
             raise ValidationError("subalgebra does not live in the hom's domain")
-        if images is None:
-            images = tuple(phi.apply(p) for p in u.atoms)
         if codomain is None:
             nonzero = sorted((q for q in images if not q.is_zero()),
                              key=_atom_sort_key)
