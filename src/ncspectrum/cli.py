@@ -13,6 +13,7 @@ randomized verification runs.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -279,6 +280,7 @@ def _at_least(minimum):
     return count
 
 
+@functools.cache  # parse_args leaves the parser as it is, so calls share it
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ncspectrum",

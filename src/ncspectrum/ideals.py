@@ -9,6 +9,10 @@ finite-dimensional algebras (von Neumann algebras, with every ideal
 closed in all relevant topologies) the norm-closed and ultraweakly
 closed readings coincide, so there is a single code path.
 
+Atom choices are bitmasks, checked and enumerated (by the engine of
+the closed-set limit, lattices.compatible_assignments) under atom-level
+rules read from each edge's spectrum map, not under closed-set images.
+
 Orientation convention, pinned by a regression test on C^2: a closed
 subset C of a node's spectrum corresponds to the ideal spanned by the
 atoms NOT in C.
@@ -19,10 +23,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .algebra import MultiMatrixAlgebra, projection_leq
+from .algebra import MultiMatrixAlgebra
 from .diagram import ShapedDiagram, postcompose
 from .errors import ValidationError
-from .lattices import ClosedSetFunctor, MeetSemilattice, limit_semilattice
+from .lattices import (ClosedSetFunctor, MeetSemilattice,
+                       compatible_assignments, limit_semilattice)
 from .subalgebra import CommSubalgebra, SpectrumFunctor
 from .ktheory import SubdiagramSpec, build_subdiagram
 
@@ -67,6 +72,51 @@ def restrict_total(ideal: TotalIdeal, u: CommSubalgebra) -> frozenset:
                      if block_support(p) <= ideal.blocks)
 
 
+def _mask(indices) -> int:
+    return sum(1 << i for i in indices)
+
+
+def _indices(mask: int) -> frozenset:
+    return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _incidence(arrow):
+    """For each codomain atom of an edge, the index of the domain atom
+    whose image it lies under, read from the edge's spectrum map."""
+    q = arrow.spectrum_map()
+    return [q.target.position(q.assignment[p]) for p in q.source.points]
+
+
+def _inclusion_rule(arrow):
+    """Along an inclusion U -> V, the choice at U from the choice at V:
+    an atom of U is chosen iff every atom of V under it is chosen."""
+    under = [0] * arrow.domain.natoms
+    for j, i in enumerate(_incidence(arrow)):
+        under[i] |= 1 << j
+
+    def rule(chosen):
+        return sum(1 << i for i, m in enumerate(under) if chosen & m == m)
+    return rule
+
+
+def _rotation_rule(arrow):
+    """Along a rotation U -> alpha(U), the conjugated choice at alpha(U)
+    from the choice at U."""
+    source_of = _incidence(arrow)
+
+    def rule(chosen):
+        return sum(1 << j for j, i in enumerate(source_of) if chosen >> i & 1)
+    return rule
+
+
+def _atom_rule(edge, arrow):
+    """The (target, source, f) rule an inclusion or rotation edge puts
+    on atom-choice bitmasks."""
+    if arrow.kind == "inclusion":
+        return edge.src, edge.dst, _inclusion_rule(arrow)
+    return edge.dst, edge.src, _rotation_rule(arrow)
+
+
 @dataclass
 class PartialIdeal:
     """A choice of atom subset at every node of a subdiagram."""
@@ -89,6 +139,19 @@ class PartialIdeal:
         node = self.diagram.node_data[node_id]
         return [node.atoms[i] for i in sorted(self.choice[node_id])]
 
+    def _first_failure(self, kind):
+        """First edge of the kind whose rule the choice breaks, as
+        (edge id, expected choice at the rule's target), or None."""
+        for e in self.diagram.shape.edges:
+            arrow = self.diagram.edge_data[e.id]
+            if arrow.kind != kind:
+                continue
+            target, source, rule = _atom_rule(e, arrow)
+            expected = _indices(rule(_mask(self.choice[source])))
+            if expected != self.choice[target]:
+                return e.id, expected
+        return None
+
     def compatibility_failure(self):
         """First inclusion edge violating I_U = I_V intersect U, as
         (edge id, expected choice), or None.
@@ -96,36 +159,14 @@ class PartialIdeal:
         At atom level: an atom P of U is chosen iff every atom of V
         under P is chosen.
         """
-        for e in self.diagram.shape.edges:
-            arrow = self.diagram.edge_data[e.id]
-            if arrow.kind != "inclusion":
-                continue
-            u = self.diagram.node_data[e.src]
-            v = self.diagram.node_data[e.dst]
-            chosen_v = self.choice[e.dst]
-            expected = frozenset(
-                i for i, p in enumerate(u.atoms)
-                if all(j in chosen_v
-                       for j, q in enumerate(v.atoms) if projection_leq(q, p)))
-            if expected != self.choice[e.src]:
-                return e.id, expected
-        return None
+        return self._first_failure("inclusion")
 
     def is_compatible(self) -> bool:
         return self.compatibility_failure() is None
 
     def rotation_failure(self):
         """First rotation edge where the choice is not conjugation-fixed."""
-        for e in self.diagram.shape.edges:
-            arrow = self.diagram.edge_data[e.id]
-            if arrow.kind != "rotation":
-                continue
-            target = self.diagram.node_data[e.dst]
-            expected = frozenset(target.atom_index(arrow.images[i])
-                                 for i in self.choice[e.src])
-            if expected != self.choice[e.dst]:
-                return e.id, expected
-        return None
+        return self._first_failure("rotation")
 
 
 def is_rotation_fixed(partial: PartialIdeal) -> bool:
@@ -176,76 +217,23 @@ def reconstruct_total(partial: PartialIdeal) -> ReconstructionResult:
 
 
 def enumerate_partial_ideals(diagram: ShapedDiagram, rotation_fixed=True):
-    """All compatible partial ideals over the subdiagram, by exhaustive
-    choice on the determining nodes followed by propagation and full
-    checking.  Ordered deterministically.
+    """All compatible partial ideals over the subdiagram, or only the
+    rotation-fixed ones when rotation_fixed is set.  Ordered
+    deterministically.
 
     This is a direct atom-level enumeration, independent of the
-    closed-set-limit route.
+    closed-set-limit route: compatible_assignments walks the atom
+    subsets of the free nodes in bitmask order under one rule per
+    inclusion edge, and per rotation edge when rotation_fixed is set.
     """
     nodes = list(diagram.shape.nodes)
-    incl_edges = [e for e in diagram.shape.edges
-                  if diagram.edge_data[e.id].kind == "inclusion"]
-    rot_edges = [e for e in diagram.shape.edges
-                 if diagram.edge_data[e.id].kind == "rotation"]
-
-    # determination: finer node fixes coarser along inclusions; rotation
-    # source fixes rotation target
-    determined = {n: False for n in nodes}
-    has_determiner = {n: False for n in nodes}
-    for e in incl_edges:
-        if e.src != e.dst:
-            has_determiner[e.src] = True
-    for e in rot_edges:
-        if e.src != e.dst:
-            has_determiner[e.dst] = True
-    free = [n for n in nodes if not has_determiner[n]]
-    # any node never reached below gets promoted to free lazily
-
-    def propagate(assigned):
-        progress = True
-        while progress:
-            progress = False
-            for e in incl_edges:
-                if e.dst in assigned and e.src not in assigned:
-                    u = diagram.node_data[e.src]
-                    v = diagram.node_data[e.dst]
-                    chosen_v = assigned[e.dst]
-                    assigned[e.src] = frozenset(
-                        i for i, p in enumerate(u.atoms)
-                        if all(j in chosen_v for j, q in enumerate(v.atoms)
-                               if projection_leq(q, p)))
-                    progress = True
-            for e in rot_edges:
-                if e.src in assigned and e.dst not in assigned:
-                    arrow = diagram.edge_data[e.id]
-                    target = diagram.node_data[e.dst]
-                    assigned[e.dst] = frozenset(
-                        target.atom_index(arrow.images[i])
-                        for i in assigned[e.src])
-                    progress = True
-        return assigned
-
-    probe = propagate({n: frozenset() for n in free})
-    for n in nodes:
-        if n not in probe:
-            free.append(n)
-            probe = propagate({m: frozenset() for m in free})
-
-    out = []
-    atom_counts = [diagram.node_data[n].natoms for n in free]
-    for combo in itertools.product(*(range(1 << c) for c in atom_counts)):
-        assigned = {}
-        for n, bits, c in zip(free, combo, atom_counts):
-            assigned[n] = frozenset(i for i in range(c) if bits >> i & 1)
-        propagate(assigned)
-        candidate = PartialIdeal(diagram, assigned)
-        if not candidate.is_compatible():
-            continue
-        if rotation_fixed and not is_rotation_fixed(candidate):
-            continue
-        out.append(candidate)
-    return out
+    kinds = ("inclusion", "rotation") if rotation_fixed else ("inclusion",)
+    rules = [_atom_rule(e, diagram.edge_data[e.id])
+             for e in diagram.shape.edges
+             if diagram.edge_data[e.id].kind in kinds]
+    domains = {n: range(1 << diagram.node_data[n].natoms) for n in nodes}
+    return [PartialIdeal(diagram, dict(zip(nodes, map(_indices, masks))))
+            for masks in compatible_assignments(nodes, domains, rules)]
 
 
 def t_tilde(algebra: MultiMatrixAlgebra,

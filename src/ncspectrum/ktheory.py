@@ -628,6 +628,19 @@ def diagram_morphism_of_hom(phi: StarHom, src_diagram: ShapedDiagram,
     return DiagramMorphism(node_map, edge_map, components, FORWARD)
 
 
+def _induced_k0_map(phi: StarHom, src_diagram: ShapedDiagram,
+                    dst_diagram: ShapedDiagram):
+    """The map of diagram K0s induced along a unital hom, as
+    (colimit over src_diagram, colimit over dst_diagram, induced hom)."""
+    dm = diagram_morphism_of_hom(phi, src_diagram, dst_diagram)
+    ab_src, ab_m = _ab_diagram(src_diagram, dm)
+    ab_dst, _ = _ab_diagram(dst_diagram)
+    colim_src = colimit(ab_src)
+    colim_dst = colimit(ab_dst)
+    induced = colimit_induced(ab_m, ab_src, ab_dst, colim_src, colim_dst)
+    return colim_src, colim_dst, induced
+
+
 @dataclass
 class NaturalityReport:
     phi: StarHom
@@ -675,17 +688,12 @@ def verify_naturality_square(phi: StarHom,
     dia_a = build_subdiagram(dom_s, spec)
     dia_b = build_subdiagram(cod_s, image_closed_spec(phi_s, dia_a))
 
-    dm = diagram_morphism_of_hom(phi_s, dia_a, dia_b)
-    ab_a, ab_m = _ab_diagram(dia_a, dm)
-    ab_b, _ = _ab_diagram(dia_b)
-    colim_a = colimit(ab_a)
-    colim_b = colimit(ab_b)
+    colim_a, colim_b, induced = _induced_k0_map(phi_s, dia_a, dia_b)
     kt_a = _ktilde_from(dom_s, dia_a, colim_a)
     kt_b = _ktilde_from(cod_s, dia_b, colim_b)
     eta_a = AbHom(k0_standard(phi.domain).group, kt_a.group, kt_a.block_words)
     eta_b = AbHom(k0_standard(phi.codomain).group, kt_b.group, kt_b.block_words)
     k0_phi = k0_standard_hom(phi)
-    induced = colimit_induced(ab_m, ab_a, ab_b, colim_a, colim_b)
 
     for i in range(phi.domain.nblocks):
         left = induced.apply(eta_a.images[i])
@@ -712,12 +720,7 @@ def k_tilde_f_nonunital(algebra: MultiMatrixAlgebra,
     dia_p = build_subdiagram(plus, spec)
     dia_c = build_subdiagram(pi.codomain, SubdiagramSpec(rotations=(),
                                                          label="scalars"))
-    dm = diagram_morphism_of_hom(pi, dia_p, dia_c)
-    ab_p, ab_m = _ab_diagram(dia_p, dm)
-    ab_c, _ = _ab_diagram(dia_c)
-    colim_p = colimit(ab_p)
-    colim_c = colimit(ab_c)
-    induced = colimit_induced(ab_m, ab_p, ab_c, colim_p, colim_c)
+    colim_p, _colim_c, induced = _induced_k0_map(pi, dia_p, dia_c)
     ker_group, inclusion = kernel(induced)
 
     # express each block class over the kernel generators: a block class

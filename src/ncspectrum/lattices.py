@@ -6,11 +6,17 @@ The generalized limit of a contravariant diagram of finite lattices is
 the set of edge-compatible families; those families are closed under
 componentwise joins, so binary meets exist as greatest compatible lower
 bounds (computed inside the family set, not componentwise).
+
+compatible_assignments is the one enumeration engine for both limits
+of the ideal side: limit_semilattice passes one rule per edge over the
+lattice elements, and ideals.enumerate_partial_ideals one rule per
+inclusion or rotation edge over atom-subset bitmasks.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 
 from .diagram import CONTRAVARIANT, Functor, ShapedDiagram, register_identity
 from .errors import ValidationError
@@ -20,12 +26,13 @@ from .subalgebra import FiniteSpace, SpaceMap
 class MeetSemilattice:
     """A finite meet-semilattice given by its elements and order.
 
-    Elements must be hashable; a top element is required and validated.
-    Meets are greatest lower bounds, computed on demand and cached
-    (validation raises on a pair without one).
+    Elements must be hashable; the order leq is asked on demand.  A top
+    element is required and validated.  Meets are greatest lower bounds,
+    computed on demand and cached (validation raises on a pair without
+    one).
     """
 
-    __slots__ = ("elements", "_leq_pairs", "_pos", "_top", "_meets", "_hash")
+    __slots__ = ("elements", "_leq", "_pos", "_top", "_meets")
 
     def __init__(self, elements, leq):
         elements = tuple(elements)
@@ -34,34 +41,42 @@ class MeetSemilattice:
         if len(set(elements)) != len(elements):
             raise ValidationError("duplicate lattice elements")
         self.elements = elements
+        self._leq = leq
         self._pos = {x: i for i, x in enumerate(elements)}
-        pairs = set()
-        for a in elements:
-            for b in elements:
-                if leq(a, b):
-                    pairs.add((a, b))
-        self._leq_pairs = pairs
         self._meets = {}
-        for a in elements:
-            if (a, a) not in pairs:
-                raise ValidationError("order is not reflexive")
-        tops = [a for a in elements
-                if all((b, a) in pairs for b in elements)]
+        if not all(leq(a, a) for a in elements):
+            raise ValidationError("order is not reflexive")
+        tops = self._greatest(elements)
         if len(tops) != 1:
             raise ValidationError(f"expected a unique top element, found {len(tops)}")
         self._top = tops[0]
-        self._hash = None
+
+    def _greatest(self, items):
+        """The items above all of items: climb to a maximal one, then
+        check that every item lies under it."""
+        leq = self._leq
+        if not items:
+            return []
+        g = items[0]
+        for x in items:
+            if leq(g, x):
+                g = x
+        if not all(leq(x, g) for x in items):
+            return []
+        return [x for x in items if leq(g, x)]
 
     def __eq__(self, other):
         if not isinstance(other, MeetSemilattice):
             return NotImplemented
-        return (self.elements == other.elements
-                and self._leq_pairs == other._leq_pairs)
+        if self.elements != other.elements:
+            return False
+        # one relation on the same elements is the same order
+        return self._leq is other._leq or all(
+            self._leq(a, b) == other._leq(a, b)
+            for a in self.elements for b in self.elements)
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.elements, len(self._leq_pairs)))
-        return self._hash
+        return hash(self.elements)
 
     @property
     def size(self) -> int:
@@ -72,7 +87,7 @@ class MeetSemilattice:
         return self._top
 
     def leq(self, a, b) -> bool:
-        return (a, b) in self._leq_pairs
+        return self._leq(a, b)
 
     def meet(self, a, b):
         """Greatest lower bound; raises if it does not exist."""
@@ -80,10 +95,9 @@ class MeetSemilattice:
         cached = self._meets.get(key)
         if cached is not None:
             return cached
-        lower = [c for c in self.elements
-                 if (c, a) in self._leq_pairs and (c, b) in self._leq_pairs]
-        greatest = [c for c in lower
-                    if all((d, c) in self._leq_pairs for d in lower)]
+        leq = self._leq
+        greatest = self._greatest(
+            [c for c in self.elements if leq(c, a) and leq(c, b)])
         if len(greatest) != 1:
             raise ValidationError("pair without a greatest lower bound")
         self._meets[key] = greatest[0]
@@ -180,8 +194,7 @@ def closed_set_lattice(space: FiniteSpace) -> MeetSemilattice:
     Every subset of a finite discrete space is closed, so this is the
     full powerset with meet = intersection.
     """
-    return MeetSemilattice(_subsets_sorted(space.points),
-                           lambda a, b: a <= b)
+    return MeetSemilattice(_subsets_sorted(space.points), operator.le)
 
 
 def closed_set_map(q: SpaceMap) -> LatticeHom:
@@ -198,81 +211,80 @@ ClosedSetFunctor = Functor(on_object=closed_set_lattice,
 register_identity(MeetSemilattice, LatticeHom.identity)
 
 
-def _determination_plan(diagram: ShapedDiagram):
-    """Choose free nodes and a propagation order for limit enumeration.
+def _plan(nodes, rules):
+    """Free nodes, setting rules and checked rules, from the shape alone.
 
-    Every edge a -> b of a contravariant diagram determines the value at
-    a from the value at b.  Free nodes are chosen deterministically so
-    that all nodes are reachable through such determinations.
+    Free nodes are those no rule sets, then, in node order, any node
+    still unreached.  Every other node is set by the first rule that
+    reaches it from a set node; the other rules are checked.
     """
-    nodes = list(diagram.shape.nodes)
-    determiners = {n: [] for n in nodes}
-    for e in diagram.shape.edges:
-        if e.src != e.dst:
-            determiners[e.src].append(e)
-
-    def grow(reachable):
+    setters_of = {n: [] for n in nodes}
+    for k, (target, source, _f) in enumerate(rules):
+        if target != source:
+            setters_of[target].append(k)
+    free, steps, reached = [], [], set()
+    for n in [n for n in nodes if not setters_of[n]] + nodes:
+        if n in reached:
+            continue
+        free.append(n)
+        reached.add(n)
         changed = True
         while changed:
             changed = False
-            for n in nodes:
-                if n not in reachable and any(
-                        e.dst in reachable for e in determiners[n]):
-                    reachable.add(n)
+            for m in nodes:
+                if m in reached:
+                    continue
+                k = next((k for k in setters_of[m] if rules[k][1] in reached),
+                         None)
+                if k is not None:
+                    reached.add(m)
+                    steps.append(k)
                     changed = True
+    used = set(steps)
+    return (free, [rules[k] for k in steps],
+            [r for k, r in enumerate(rules) if k not in used])
 
-    free = [n for n in nodes if not determiners[n]]
-    reachable = set(free)
-    grow(reachable)
-    for n in nodes:
-        if n not in reachable:
-            free.append(n)
-            reachable.add(n)
-            grow(reachable)
-    return free
+
+def compatible_assignments(nodes, domains, rules):
+    """Every assignment of a value to each node that obeys every rule.
+
+    domains maps each node to its values; a rule (target, source, f),
+    with f mapping the source's domain into the target's, requires
+    value[target] == f(value[source]).  Walks the product of the free
+    nodes' domains in order and yields value tuples in node order.
+
+    >>> rules = [("b", "a", lambda x: x % 2)]
+    >>> list(compatible_assignments(["a", "b"], {"a": range(3), "b": (0, 1)},
+    ...                             rules))
+    [(0, 0), (1, 1), (2, 0)]
+    """
+    nodes = list(nodes)
+    free, steps, checks = _plan(nodes, rules)
+    for choice in itertools.product(*(domains[n] for n in free)):
+        value = dict(zip(free, choice))
+        for target, source, f in steps:
+            value[target] = f(value[source])
+        if all(value[target] == f(value[source])
+               for target, source, f in checks):
+            yield tuple(value[n] for n in nodes)
 
 
 def limit_semilattice(diagram: ShapedDiagram) -> MeetSemilattice:
     """Generalized limit of a contravariant diagram of finite lattices.
 
     Elements are families (one lattice element per node) compatible with
-    every generating edge's map; they are enumerated by assigning the
-    free nodes and propagating.  The result is ordered componentwise.
+    every generating edge's map: an edge a -> b asks the value at a to
+    be the image of the value at b.  The families are enumerated by
+    compatible_assignments and ordered componentwise.
     """
     if diagram.variance != CONTRAVARIANT:
         raise ValidationError("limit_semilattice expects a contravariant diagram")
     nodes = list(diagram.shape.nodes)
     lattices = {n: diagram.node_data[n] for n in nodes}
-    edges = list(diagram.shape.edges)
-    free = _determination_plan(diagram)
-
-    families = []
-    for choice in itertools.product(*(lattices[n].elements for n in free)):
-        assigned = dict(zip(free, choice))
-        # propagate along edges a -> b: the value at a is the image of b's
-        ok = True
-        progress = True
-        while progress and ok:
-            progress = False
-            for e in edges:
-                if e.dst not in assigned:
-                    continue
-                val = diagram.edge_data[e.id](assigned[e.dst])
-                if e.src in assigned:
-                    if assigned[e.src] != val:
-                        ok = False
-                        break
-                else:
-                    assigned[e.src] = val
-                    progress = True
-        if not ok:
-            continue
-        if len(assigned) != len(nodes):
-            raise ValidationError("limit enumeration failed to cover a node")
-        if all(assigned[e.src] == diagram.edge_data[e.id](assigned[e.dst])
-               for e in edges):
-            families.append(tuple(assigned[n] for n in nodes))
-
+    rules = [(e.src, e.dst, diagram.edge_data[e.id])
+             for e in diagram.shape.edges]
+    families = list(compatible_assignments(
+        nodes, {n: lattices[n].elements for n in nodes}, rules))
     if not families:
         raise ValidationError("limit is empty: no compatible families")
 

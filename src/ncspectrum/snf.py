@@ -18,7 +18,6 @@ cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ValidationError
 
@@ -61,33 +60,28 @@ def integer_matmul(a, b):
 
 
 def integer_determinant(m) -> int:
-    """Exact determinant via fraction-free Gaussian elimination."""
+    """Exact determinant via fraction-free (Bareiss) elimination: every
+    division is exact, so the work stays in integers."""
     n = len(m)
     if any(len(r) != n for r in m):
         raise ValidationError("determinant of a non-square matrix")
-    work = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if work[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            return 0
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            det = -det
-        pv = work[col][col]
-        det *= pv
-        for r in range(col + 1, n):
-            f = work[r][col] / pv
-            if f:
-                for c in range(col, n):
-                    work[r][c] -= f * work[col][c]
-    if det.denominator != 1:
-        raise AssertionError("integer determinant came out fractional")
-    return int(det)
+    work = [list(row) for row in m]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not work[k][k]:
+            pivot = next((r for r in range(k + 1, n) if work[r][k]), None)
+            if pivot is None:
+                return 0
+            work[k], work[pivot] = work[pivot], work[k]
+            sign = -sign
+        pk = work[k]
+        for r in range(k + 1, n):
+            row = work[r]
+            for c in range(k + 1, n):
+                row[c] = (row[c] * pk[k] - row[k] * pk[c]) // prev
+        prev = pk[k]
+    return sign * work[n - 1][n - 1] if n else 1
 
 
 @dataclass
@@ -257,10 +251,6 @@ def smith_normal_form(matrix) -> SNFResult:
         if not changed:
             break
     return SNFResult(U=u, D=m, V=v)
-
-
-def snf(matrix) -> SNFResult:
-    return smith_normal_form(matrix)
 
 
 def solve_integer(matrix, rhs):

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from ncspectrum import cli
 from ncspectrum.cli import main
 
 
@@ -277,6 +278,24 @@ class TestSnfCommand:
         assert data["D"] == [[0]]
 
 
+def test_parser_is_built_once(monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        run_cli("snf", "--matrix", "[[2]]")
+        run_cli("--format", "json", "snf", "--matrix", "[[3]]")
+    finally:
+        cli.build_parser.cache_clear()
+    assert built.count("ncspectrum") == 1
+
+
 class TestDeterminism:
     @pytest.mark.parametrize("argv", [
         ("k0", "--algebra", '{"blocks":[2]}', "--method", "diagram"),
@@ -312,6 +331,39 @@ _CLASSES = ["Z^3", "block 0: class {'1': 1}", "block 1: class {'3': 1}",
             "block 2: class {'7': 1}"]
 _THEOREM1_PASS = {"error": None, "k0": [2, []], "ktilde": [2, []], "m": 2,
                   "ok": True, "witness": None}
+
+# a three-node chain of spaces: a <- b <- c, with b and c splitting points
+CHAIN = json.dumps({
+    "variance": "contravariant",
+    "nodes": [{"id": "a", "points": ["q"]}, {"id": "b", "points": ["x", "y"]},
+              {"id": "c", "points": ["s", "t", "u"]}],
+    "edges": [{"id": "i", "source": "a", "target": "b",
+               "assignment": {"x": "q", "y": "q"}},
+              {"id": "j", "source": "b", "target": "c",
+               "assignment": {"s": "x", "t": "x", "u": "y"}}],
+})
+_CHAIN_FAMILIES = [
+    {"a": [], "b": [], "c": []},
+    {"a": ["q"], "b": ["x"], "c": ["s"]},
+    {"a": ["q"], "b": ["x"], "c": ["t"]},
+    {"a": ["q"], "b": ["y"], "c": ["u"]},
+    {"a": ["q"], "b": ["x"], "c": ["s", "t"]},
+    {"a": ["q"], "b": ["x", "y"], "c": ["s", "u"]},
+    {"a": ["q"], "b": ["x", "y"], "c": ["t", "u"]},
+    {"a": ["q"], "b": ["x", "y"], "c": ["s", "t", "u"]},
+]
+_CHAIN_TEXT = (["limit lattice: 8 elements"]
+               + [str(f) for f in _CHAIN_FAMILIES])
+# a choice that one swap moves, and one over the dense rotations that
+# breaks an inclusion into a rotated sheet
+SWAPPED_CHOICE = json.dumps({"algebra": {"blocks": [2]},
+                             "choice": {"d:0|1": [0]}})
+DENSE_CHOICE = json.dumps({"algebra": {"blocks": [4]}, "spec": DENSE_SPEC,
+                           "choice": {"d:0|1|2|3": [0, 1, 2, 3],
+                                      "d:0,1,2,3": [0]}})
+_DENSE_CHOICE_TEXT = ["compatible: no", "rotation-fixed: no",
+                      "witness edge: i:d:0,1,2,3=>r0:d:0|1|2|3",
+                      "witness rotation edge: t0:d:0|1|2|3"]
 
 # (argv, exit code, text lines or the JSON object printed); "SPEC" stands
 # for a file holding DENSE_SPEC
@@ -358,7 +410,27 @@ GOLDEN = [
                    "ok": False,
                    "witness": {"generator": ["d:0,1,2,3", 0],
                                "rank_vector": [4]}}}),
+    (("limit", "--diagram", CHAIN), 0, _CHAIN_TEXT),
+    (("--format", "json", "limit", "--diagram", CHAIN), 0,
+     {"families": _CHAIN_FAMILIES, "size": 8, "text": _CHAIN_TEXT}),
+    (("partial-ideal", "check", "--file", SWAPPED_CHOICE), 2,
+     ["compatible: yes", "rotation-fixed: no",
+      "witness rotation edge: t0:d:0|1",
+      "reconstruction failed at node d:0,1: candidate blocks [0] restrict "
+      "to [0] but the choice is []"]),
+    (("partial-ideal", "check", "--file", DENSE_CHOICE), 2,
+     _DENSE_CHOICE_TEXT),
+    (("--format", "json", "partial-ideal", "check", "--file", DENSE_CHOICE),
+     2, {"compatibility_witness": {"edge": "i:d:0,1,2,3=>r0:d:0|1|2|3",
+                                   "expected": []},
+         "compatible": False, "rotation_fixed": False,
+         "rotation_witness": {"edge": "t0:d:0|1|2|3",
+                              "expected": [0, 1, 2, 3]},
+         "text": _DENSE_CHOICE_TEXT}),
 ]
+# the long inline JSON arguments, by name in test ids
+_ARG_NAMES = {CHAIN: "CHAIN", SWAPPED_CHOICE: "SWAPPED_CHOICE",
+              DENSE_CHOICE: "DENSE_CHOICE"}
 
 
 class TestGoldenOutput:
@@ -367,7 +439,8 @@ class TestGoldenOutput:
     this pins the bytes across builds."""
 
     @pytest.mark.parametrize("argv, code, want", GOLDEN,
-                             ids=[" ".join(g[0]) for g in GOLDEN])
+                             ids=[" ".join(_ARG_NAMES.get(a, a) for a in g[0])
+                                  for g in GOLDEN])
     def test_output_is_pinned(self, argv, code, want, tmp_path):
         spec = tmp_path / "dense.json"
         spec.write_text(json.dumps(DENSE_SPEC))

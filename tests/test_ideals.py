@@ -143,6 +143,15 @@ class TestEnumeration:
         frees = enumerate_partial_ideals(dia, rotation_fixed=False)
         assert len(frees) == 4  # any subset of the two diagonal atoms
 
+    @pytest.mark.parametrize("blocks, count", [([2], 10), ([3], 50)])
+    def test_without_fixedness_rotations_do_not_constrain(self, blocks,
+                                                           count):
+        # the default diagram's rotation edges must not prune the
+        # compatible partial ideals when fixedness is not asked for
+        dia = build_subdiagram(MultiMatrixAlgebra(blocks))
+        assert len(enumerate_partial_ideals(dia, rotation_fixed=False)) == count
+        assert len(enumerate_partial_ideals(dia, rotation_fixed=True)) == 2
+
 
 class TestConjecture1:
     def test_scalars(self):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 from ncspectrum import (IntegerRowLattice, integer_determinant,
                         preimage_lattice, smith_normal_form, solve_integer)
@@ -127,3 +128,49 @@ class TestPreimageLattice:
     def test_everything_when_relations_cover(self):
         gens = preimage_lattice([[1, 0]], [[1, 0], [0, 1]], 2)
         assert gens == [[1]]
+
+
+def fraction_determinant(m):
+    """Gaussian elimination over Fractions: the oracle for the integer
+    (Bareiss) elimination of integer_determinant."""
+    n = len(m)
+    work = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            det = -det
+        pv = work[col][col]
+        det *= pv
+        for r in range(col + 1, n):
+            f = work[r][col] / pv
+            for c in range(col, n):
+                work[r][c] -= f * work[col][c]
+    assert det.denominator == 1
+    return int(det)
+
+
+class TestDeterminant:
+    def test_empty_matrix(self):
+        assert integer_determinant([]) == 1
+
+    def test_needs_a_row_swap(self):
+        assert integer_determinant([[0, 1], [1, 0]]) == -1
+
+    def test_matches_fraction_elimination(self):
+        rng = random.Random(5)
+        singular = 0
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            m = [[rng.randint(-6, 6) if rng.random() < 0.7 else 0
+                  for _ in range(n)] for _ in range(n)]
+            if n > 1 and rng.random() < 0.3:
+                # a repeated or scaled row makes the matrix singular
+                m[rng.randrange(1, n)] = [2 * x for x in m[0]]
+            want = fraction_determinant(m)
+            singular += want == 0
+            assert integer_determinant(m) == want, m
+        assert singular > 20
