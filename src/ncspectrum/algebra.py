@@ -700,12 +700,6 @@ def unitalize(algebra: MultiMatrixAlgebra):
     return plus, pi
 
 
-def default_small_algebras():
-    """Catalog used by the randomized suites."""
-    return [MultiMatrixAlgebra(b) for b in
-            ([1], [2], [1, 1], [1, 2], [2, 1], [1, 1, 1])]
-
-
 def sample_unital_hom(rng, max_total_dim: int = 6) -> StarHom:
     """Seeded random unital Bratteli morphism between algebras whose
     linear dimensions both stay within max_total_dim.

@@ -22,13 +22,12 @@ import sys
 from . import serialize
 from .abgroup import colimit
 from .algebra import sample_unital_hom, stabilize
-from .diagram import postcompose
 from .errors import ValidationError, VerificationError
 from .ideals import (reconstruct_total, total_ideal_lattice,
                      verify_conjecture1)
 from .ktheory import (k0_standard, k_tilde_f, verify_naturality_square,
                       verify_theorem1)
-from .lattices import ClosedSetFunctor, limit_semilattice
+from .lattices import limit_semilattice
 from .snf import integer_matmul, smith_normal_form
 
 EXIT_OK = 0
@@ -161,8 +160,7 @@ def cmd_colimit(args, out) -> int:
 def cmd_limit(args, out) -> int:
     diagram = serialize.load_space_diagram(
         serialize.load_json_argument(args.diagram))
-    lats, _ = postcompose(ClosedSetFunctor, diagram)
-    lattice = limit_semilattice(lats)
+    lattice = limit_semilattice(diagram)
     families = []
     for family in lattice.elements:
         families.append({nid: sorted(part) for nid, part in

@@ -301,10 +301,6 @@ def postcompose(functor: Functor, diagram: ShapedDiagram,
     return out, new_m
 
 
-IDENTITY_FUNCTOR = Functor(on_object=lambda x: x, on_morphism=lambda h: h,
-                           contravariant=False, name="Id")
-
-
 def find_path(diagram: ShapedDiagram, src: str, dst: str, allowed=None):
     """BFS path (tuple of edge ids) from src to dst in the shape graph,
     optionally restricted to a predicate on edges.  None if unreachable."""

@@ -10,8 +10,8 @@ closed in all relevant topologies) the norm-closed and ultraweakly
 closed readings coincide, so there is a single code path.
 
 Atom choices are bitmasks, checked and enumerated (by the engine of
-the closed-set limit, lattices.compatible_assignments) under atom-level
-rules read from each edge's spectrum map, not under closed-set images.
+the closed-set limit, lattices.compatible_masks) under atom-level rules
+read from each edge's spectrum map, not under closed-set images.
 
 Orientation convention, pinned by a regression test on C^2: a closed
 subset C of a node's spectrum corresponds to the ideal spanned by the
@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from .algebra import MultiMatrixAlgebra
 from .diagram import ShapedDiagram, postcompose
 from .errors import ValidationError
-from .lattices import (ClosedSetFunctor, MeetSemilattice,
-                       compatible_assignments, limit_semilattice)
+from .lattices import MeetSemilattice, compatible_masks, limit_semilattice
 from .subalgebra import CommSubalgebra, SpectrumFunctor
 from .ktheory import SubdiagramSpec, build_subdiagram
 
@@ -87,34 +86,18 @@ def _incidence(arrow):
     return [q.target.position(q.assignment[p]) for p in q.source.points]
 
 
-def _inclusion_rule(arrow):
-    """Along an inclusion U -> V, the choice at U from the choice at V:
-    an atom of U is chosen iff every atom of V under it is chosen."""
-    under = [0] * arrow.domain.natoms
-    for j, i in enumerate(_incidence(arrow)):
-        under[i] |= 1 << j
-
-    def rule(chosen):
-        return sum(1 << i for i, m in enumerate(under) if chosen & m == m)
-    return rule
-
-
-def _rotation_rule(arrow):
-    """Along a rotation U -> alpha(U), the conjugated choice at alpha(U)
-    from the choice at U."""
-    source_of = _incidence(arrow)
-
-    def rule(chosen):
-        return sum(1 << j for j, i in enumerate(source_of) if chosen >> i & 1)
-    return rule
-
-
 def _atom_rule(edge, arrow):
-    """The (target, source, f) rule an inclusion or rotation edge puts
-    on atom-choice bitmasks."""
+    """(target, source, needs): an atom t is chosen at the target iff all
+    atoms of the mask needs[t] are chosen at the source.  An atom of U
+    needs the atoms of V under it along an inclusion U -> V, an atom of
+    alpha(U) its preimage along a rotation U -> alpha(U)."""
+    incidence = _incidence(arrow)
     if arrow.kind == "inclusion":
-        return edge.src, edge.dst, _inclusion_rule(arrow)
-    return edge.dst, edge.src, _rotation_rule(arrow)
+        needs = [0] * arrow.domain.natoms
+        for j, i in enumerate(incidence):
+            needs[i] |= 1 << j
+        return edge.src, edge.dst, needs
+    return edge.dst, edge.src, [1 << i for i in incidence]
 
 
 @dataclass
@@ -135,10 +118,6 @@ class PartialIdeal:
             if any(i < 0 or i >= count for i in s):
                 raise ValidationError(f"atom index out of range at node {n}")
 
-    def chosen_atoms(self, node_id: str):
-        node = self.diagram.node_data[node_id]
-        return [node.atoms[i] for i in sorted(self.choice[node_id])]
-
     def _first_failure(self, kind):
         """First edge of the kind whose rule the choice breaks, as
         (edge id, expected choice at the rule's target), or None."""
@@ -146,8 +125,10 @@ class PartialIdeal:
             arrow = self.diagram.edge_data[e.id]
             if arrow.kind != kind:
                 continue
-            target, source, rule = _atom_rule(e, arrow)
-            expected = _indices(rule(_mask(self.choice[source])))
+            target, source, needs = _atom_rule(e, arrow)
+            chosen = _mask(self.choice[source])
+            expected = frozenset(t for t, m in enumerate(needs)
+                                 if chosen & m == m)
             if expected != self.choice[target]:
                 return e.id, expected
         return None
@@ -222,18 +203,22 @@ def enumerate_partial_ideals(diagram: ShapedDiagram, rotation_fixed=True):
     deterministically.
 
     This is a direct atom-level enumeration, independent of the
-    closed-set-limit route: compatible_assignments walks the atom
-    subsets of the free nodes in bitmask order under one rule per
-    inclusion edge, and per rotation edge when rotation_fixed is set.
+    closed-set-limit route: compatible_masks solves for atom bitmasks
+    under one rule per inclusion edge, and per rotation edge when
+    rotation_fixed is set, in bitmask order at the free nodes.
     """
     nodes = list(diagram.shape.nodes)
+    index = {n: k for k, n in enumerate(nodes)}
     kinds = ("inclusion", "rotation") if rotation_fixed else ("inclusion",)
-    rules = [_atom_rule(e, diagram.edge_data[e.id])
-             for e in diagram.shape.edges
-             if diagram.edge_data[e.id].kind in kinds]
-    domains = {n: range(1 << diagram.node_data[n].natoms) for n in nodes}
+    links = []
+    for e in diagram.shape.edges:
+        arrow = diagram.edge_data[e.id]
+        if arrow.kind in kinds:
+            target, source, needs = _atom_rule(e, arrow)
+            links.append((index[target], index[source], needs, False))
+    sizes = [diagram.node_data[n].natoms for n in nodes]
     return [PartialIdeal(diagram, dict(zip(nodes, map(_indices, masks))))
-            for masks in compatible_assignments(nodes, domains, rules)]
+            for masks in compatible_masks(sizes, links, int)]
 
 
 def t_tilde(algebra: MultiMatrixAlgebra,
@@ -246,8 +231,7 @@ def t_tilde(algebra: MultiMatrixAlgebra,
     """
     dia = diagram if diagram is not None else build_subdiagram(algebra, spec)
     spaces, _ = postcompose(SpectrumFunctor, dia)
-    lats, _ = postcompose(ClosedSetFunctor, spaces)
-    return limit_semilattice(lats)
+    return limit_semilattice(spaces)
 
 
 def total_ideal_lattice(algebra: MultiMatrixAlgebra) -> MeetSemilattice:

@@ -65,33 +65,6 @@ KFunctor = Functor(on_object=K_of_space, on_morphism=K_of_map,
                    contravariant=True, name="K")
 
 
-def set_partitions(n: int):
-    """All set partitions of range(n), deterministically ordered.
-
-    Parts are frozensets sorted by minimum; the coarsest partition comes
-    first and the all-singletons partition last.
-    """
-    out = []
-    groups = []
-
-    def rec(i):
-        if i == n:
-            out.append(tuple(frozenset(g) for g in groups))
-            return
-        for g in groups:
-            g.append(i)
-            rec(i + 1)
-            g.pop()
-        groups.append([i])
-        rec(i + 1)
-        groups.pop()
-
-    if n == 0:
-        return [()]
-    rec(0)
-    return out
-
-
 def partition_label(parts) -> str:
     return "|".join(",".join(str(c) for c in sorted(p)) for p in parts)
 

@@ -2,15 +2,17 @@
 
 Closed sets of a finite discrete space are just subsets of its points;
 the closed-set functor sends a space map to the image map on subsets.
-The generalized limit of a contravariant diagram of finite lattices is
-the set of edge-compatible families; those families are closed under
-componentwise joins, so binary meets exist as greatest compatible lower
-bounds (computed inside the family set, not componentwise).
+The generalized limit of the closed-set lattices of a contravariant
+diagram of finite spaces is the set of edge-compatible families; those
+families are closed under componentwise joins, so binary meets exist as
+greatest compatible lower bounds (computed inside the family set, not
+componentwise).
 
-compatible_assignments is the one enumeration engine for both limits
-of the ideal side: limit_semilattice passes one rule per edge over the
-lattice elements, and ideals.enumerate_partial_ideals one rule per
-inclusion or rotation edge over atom-subset bitmasks.
+compatible_masks is the one enumeration engine for both limits of the
+ideal side, a search over (node, bit) variables: limit_semilattice
+passes one link per edge over point bitmasks, and
+ideals.enumerate_partial_ideals one per inclusion or rotation edge over
+atom bitmasks.
 """
 
 from __future__ import annotations
@@ -105,9 +107,6 @@ class MeetSemilattice:
 
     def __contains__(self, x):
         return x in self._pos
-
-    def index(self, x) -> int:
-        return self._pos[x]
 
     def order_isomorphic_via(self, mapping: dict, other: "MeetSemilattice",
                              reverse: bool = False) -> bool:
@@ -211,85 +210,139 @@ ClosedSetFunctor = Functor(on_object=closed_set_lattice,
 register_identity(MeetSemilattice, LatticeHom.identity)
 
 
-def _plan(nodes, rules):
-    """Free nodes, setting rules and checked rules, from the shape alone.
-
-    Free nodes are those no rule sets, then, in node order, any node
-    still unreached.  Every other node is set by the first rule that
-    reaches it from a set node; the other rules are checked.
-    """
-    setters_of = {n: [] for n in nodes}
-    for k, (target, source, _f) in enumerate(rules):
+def _free_nodes(count, links):
+    """The nodes that order the solutions: those no link sets, then, in
+    node order, any node not reached along the links from those before."""
+    sets = [[] for _ in range(count)]
+    for target, source, _needs, _some in links:
         if target != source:
-            setters_of[target].append(k)
-    free, steps, reached = [], [], set()
-    for n in [n for n in nodes if not setters_of[n]] + nodes:
-        if n in reached:
-            continue
-        free.append(n)
-        reached.add(n)
-        changed = True
-        while changed:
-            changed = False
-            for m in nodes:
-                if m in reached:
-                    continue
-                k = next((k for k in setters_of[m] if rules[k][1] in reached),
-                         None)
-                if k is not None:
+            sets[source].append(target)
+    free, reached = [], set()
+    for k in sorted(set(range(count)).difference(*sets)) + list(range(count)):
+        if k not in reached:
+            free.append(k)
+            stack = [k]
+            while stack:
+                m = stack.pop()
+                if m not in reached:
                     reached.add(m)
-                    steps.append(k)
-                    changed = True
-    used = set(steps)
-    return (free, [rules[k] for k in steps],
-            [r for k, r in enumerate(rules) if k not in used])
+                    stack += sets[m]
+    return free
 
 
-def compatible_assignments(nodes, domains, rules):
-    """Every assignment of a value to each node that obeys every rule.
+def compatible_masks(sizes, links, rank):
+    """Every tuple of bitmasks, one per node (node k has sizes[k] bits),
+    that obeys every link (target, source, needs, some): bit t of the
+    target is set iff every bit (some bit, if some) of needs[t] is set
+    at the source.
 
-    domains maps each node to its values; a rule (target, source, f),
-    with f mapping the source's domain into the target's, requires
-    value[target] == f(value[source]).  Walks the product of the free
-    nodes' domains in order and yields value tuples in node order.
+    A Davis-Logemann-Loveland search over the (node, bit) variables
+    decides the first undecided bit, propagates units and drops a branch
+    on a conflict: its work grows with the solutions, not with the
+    product of the domains.  Solutions are sorted by the rank of their
+    masks at the free nodes, the order of a walk over those values.
 
-    >>> rules = [("b", "a", lambda x: x % 2)]
-    >>> list(compatible_assignments(["a", "b"], {"a": range(3), "b": (0, 1)},
-    ...                             rules))
-    [(0, 0), (1, 1), (2, 0)]
+    >>> compatible_masks([2, 2], [(1, 0, [1, 1], False)], int)
+    [(0, 0), (1, 3), (2, 0), (3, 3)]
     """
-    nodes = list(nodes)
-    free, steps, checks = _plan(nodes, rules)
-    for choice in itertools.product(*(domains[n] for n in free)):
-        value = dict(zip(free, choice))
-        for target, source, f in steps:
-            value[target] = f(value[source])
-        if all(value[target] == f(value[source])
-               for target, source, f in checks):
-            yield tuple(value[n] for n in nodes)
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    # literal 2*v + (not x) holds when variable v has the value x
+    implied = [[] for _ in range(2 * offsets[-1])]
+    watched = [[] for _ in implied]  # clauses, by negated literal
+    units = []
+    for target, source, needs, some in links:
+        for t, mask in enumerate(needs):
+            # bit t is (not some) iff every needed bit is (not some)
+            head = 2 * (offsets[target] + t) + some
+            body = [2 * (offsets[source] + s) + some
+                    for s in range(mask.bit_length()) if mask >> s & 1]
+            implied[head] += body
+            for lit in body:
+                implied[lit ^ 1].append(head ^ 1)
+            clause = [head] + [lit ^ 1 for lit in body]
+            for lit in clause:
+                watched[lit ^ 1].append(clause)
+            if not body:
+                units.append(head)
+
+    def propagate(truth, queue):
+        while queue:
+            lit = queue.pop()
+            if truth[lit] is not None:
+                if truth[lit]:
+                    continue
+                return None
+            truth[lit], truth[lit ^ 1] = True, False
+            queue += implied[lit]
+            for clause in watched[lit]:
+                open_lit = None
+                for other in clause:
+                    value = truth[other]
+                    if value or (value is None and open_lit is not None):
+                        break  # satisfied, or two literals open
+                    if value is None:
+                        open_lit = other
+                else:
+                    if open_lit is None:
+                        return None
+                    queue.append(open_lit)
+        return truth
+
+    weights = [1 << b for b in range(max(sizes, default=0))]
+    found, stack = [], [propagate([None] * len(implied), units)]
+    while stack:
+        truth = stack.pop()
+        if truth is None:
+            continue
+        if None in truth:
+            lit = truth.index(None)  # the first undecided variable, set
+            stack += [propagate(truth.copy(), [lit]),
+                      propagate(truth, [lit + 1])]
+        else:
+            values = truth[::2]
+            found.append(tuple(
+                sum(itertools.compress(weights, values[off:off + n]))
+                for off, n in zip(offsets, sizes)))
+    free = _free_nodes(len(sizes), links)
+    return sorted(found, key=lambda ms: [rank(ms[k]) for k in free])
+
+
+def _closed_set_rank(mask):
+    """A closed set's place in its lattice: size, then point positions."""
+    return (mask.bit_count(),
+            [i for i in range(mask.bit_length()) if mask >> i & 1])
 
 
 def limit_semilattice(diagram: ShapedDiagram) -> MeetSemilattice:
-    """Generalized limit of a contravariant diagram of finite lattices.
+    """Generalized limit of the closed-set lattices of a contravariant
+    diagram of finite spaces.
 
-    Elements are families (one lattice element per node) compatible with
-    every generating edge's map: an edge a -> b asks the value at a to
-    be the image of the value at b.  The families are enumerated by
-    compatible_assignments and ordered componentwise.
+    Elements are families (one closed set per node) compatible with
+    every edge a -> b: the closed set at a is the image of the one at b.
+    compatible_masks finds them as point bitmasks, in the order of a walk
+    over the free nodes' lattices; they are ordered componentwise.
     """
     if diagram.variance != CONTRAVARIANT:
         raise ValidationError("limit_semilattice expects a contravariant diagram")
     nodes = list(diagram.shape.nodes)
-    lattices = {n: diagram.node_data[n] for n in nodes}
-    rules = [(e.src, e.dst, diagram.edge_data[e.id])
-             for e in diagram.shape.edges]
-    families = list(compatible_assignments(
-        nodes, {n: lattices[n].elements for n in nodes}, rules))
-    if not families:
-        raise ValidationError("limit is empty: no compatible families")
+    spaces = [diagram.node_data[n] for n in nodes]
+    if not all(isinstance(s, FiniteSpace) for s in spaces):
+        raise ValidationError("limit_semilattice expects finite spaces")
+    index = {n: k for k, n in enumerate(nodes)}
+    links = []
+    for e in diagram.shape.edges:
+        q = diagram.edge_data[e.id]
+        over = [0] * q.target.size  # point y is in the image iff some x is
+        for x, p in enumerate(q.source.points):
+            over[q.target.position(q.assignment[p])] |= 1 << x
+        links.append((index[e.src], index[e.dst], over, True))
+    families = [
+        tuple(frozenset(p for i, p in enumerate(space.points) if mask >> i & 1)
+              for space, mask in zip(spaces, masks))
+        for masks in compatible_masks([s.size for s in spaces], links,
+                                      _closed_set_rank)]
 
     def leq(fa, fb):
-        return all(lattices[n].leq(a, b)
-                   for n, a, b in zip(nodes, fa, fb))
+        return all(map(operator.le, fa, fb))
 
     return MeetSemilattice(families, leq)

@@ -18,7 +18,7 @@ from .errors import ValidationError
 from .exact import ExactMatrix
 from .ktheory import SubdiagramSpec, build_subdiagram
 from .ideals import PartialIdeal
-from .subalgebra import CommSubalgebra, FiniteSpace, SpaceMap, span_subalgebra
+from .subalgebra import FiniteSpace, SpaceMap
 
 
 def load_json_argument(text_or_path: str):
@@ -119,23 +119,6 @@ def dump_hom(hom: StarHom):
         "codomain": dump_algebra(hom.codomain),
         "multiplicity": [list(r) for r in hom.multiplicity],
         "unital": hom.unital,
-    }
-
-
-def load_subalgebra(data) -> CommSubalgebra:
-    if "algebra" not in data or "generators" not in data:
-        raise ValidationError('subalgebra JSON needs "algebra" and "generators"')
-    algebra = load_algebra(data["algebra"])
-    gens = [load_element(g, algebra) for g in data["generators"]]
-    # atoms are recomputed from the generators, which revalidates them
-    return span_subalgebra(algebra, gens)
-
-
-def dump_subalgebra(subalgebra: CommSubalgebra):
-    """Serialized as its atom projections, which generate it."""
-    return {
-        "algebra": dump_algebra(subalgebra.algebra),
-        "generators": [dump_element(p) for p in subalgebra.atoms],
     }
 
 

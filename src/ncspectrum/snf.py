@@ -517,8 +517,3 @@ def preimage_row_lattice(a_rows, r_rows, ncols: int) -> IntegerRowLattice:
         if x:
             lattice.insert(x)
     return lattice
-
-
-def preimage_lattice(a_rows, r_rows, ncols: int):
-    """Dense generator rows of {x : x A lies in rowlattice(R)}."""
-    return preimage_row_lattice(a_rows, r_rows, ncols).basis_rows()

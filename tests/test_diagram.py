@@ -7,12 +7,13 @@ from ncspectrum import (AbHom, MultiMatrixAlgebra, PresentedAbGroup, Shape,
                         check_naturality, compose_morphisms,
                         partition_subalgebra, postcompose,
                         trivial_subalgebra)
-from ncspectrum.diagram import (FORWARD, IDENTITY_FUNCTOR, DiagramMorphism,
-                                find_path)
+from ncspectrum.diagram import FORWARD, DiagramMorphism, Functor, find_path
 from ncspectrum.ktheory import K_of_map, KFunctor
 from ncspectrum.subalgebra import FiniteSpace, SpaceMap, SubalgebraArrow
 
 Z = PresentedAbGroup.free(1)
+IDENTITY_FUNCTOR = Functor(on_object=lambda x: x, on_morphism=lambda h: h,
+                           contravariant=False, name="Id")
 
 
 def two_node_diagram(multiplier):

@@ -1,12 +1,19 @@
 """Differential tests for the enumeration engine and the lattices built
 on it.
 
-compatible_assignments is compared with brute-force filtering of every
-assignment on random small rule systems.  enumerate_partial_ideals and
-the PartialIdeal checks, which read atom incidence from the edges'
-spectrum maps, are compared with the direct atom-level rule: an atom P
-of U is chosen iff every atom Q of V with projection_leq(Q, P) is
-chosen, and a rotation carries atom i to the atom equal to its image.
+The product walk that the engine replaced, compatible_assignments, is
+kept here as the oracle and is itself compared with brute-force
+filtering of every assignment on random small rule systems.
+lattices.compatible_masks, the bit-propagation search, is compared with
+the walk on random link systems, on random space diagrams (through
+limit_semilattice) and on both ideal-side limits of the catalog
+algebras, under the default and the whole-partition spec: the same
+solutions in the same order.
+enumerate_partial_ideals and the PartialIdeal checks, which read atom
+incidence from the edges' spectrum maps, are compared with the direct
+atom-level rule: an atom P of U is chosen iff every atom Q of V with
+projection_leq(Q, P) is chosen, and a rotation carries atom i to the
+atom equal to its image.
 MeetSemilattice, which asks its order on demand, is compared with an
 oracle that tabulates every order pair up front.
 
@@ -15,25 +22,29 @@ tests/test_structured_atoms.py: seeded cases always run, the hypothesis
 cases shrink a failure to a minimal system and skip without hypothesis.
 """
 
+import io
 import itertools
+import json
 import random
 
 import pytest
 
 from ncspectrum import (MultiMatrixAlgebra, PartialIdeal, ShapedDiagram,
-                        Shape, ValidationError, build_subdiagram,
-                        closed_set_lattice, enumerate_partial_ideals,
+                        Shape, SpectrumFunctor, ValidationError,
+                        build_subdiagram, closed_set_lattice,
+                        closed_set_map, enumerate_partial_ideals,
                         limit_semilattice, postcompose, t_tilde,
-                        total_ideal_lattice)
+                        total_ideal_lattice, verify_conjecture1)
 from ncspectrum.algebra import projection_leq
-from ncspectrum.ideals import _incidence
-from ncspectrum.lattices import (ClosedSetFunctor, MeetSemilattice,
-                                 compatible_assignments)
+from ncspectrum.cli import main
+from ncspectrum.ideals import _atom_rule, _incidence
+from ncspectrum.lattices import MeetSemilattice, compatible_masks
 from ncspectrum.serialize import load_spec
 from ncspectrum.subalgebra import FiniteSpace, SpaceMap
 
 from test_cli import DENSE_SPEC
 from test_structured_atoms import DrawPick, RngPick
+from test_subdiagram_oracle import CATALOG, ORACLE_MAX_COORDS, oracle_spec
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -43,7 +54,65 @@ except ImportError:
 SEEDS = range(40)
 
 
-# -- compatible_assignments ------------------------------------------------
+# -- the product walk, kept as the oracle ----------------------------------
+
+def _plan(nodes, rules):
+    """Free nodes, setting rules and checked rules, from the shape alone.
+
+    Free nodes are those no rule sets, then, in node order, any node
+    still unreached.  Every other node is set by the first rule that
+    reaches it from a set node; the other rules are checked.
+    """
+    setters_of = {n: [] for n in nodes}
+    for k, (target, source, _f) in enumerate(rules):
+        if target != source:
+            setters_of[target].append(k)
+    free, steps, reached = [], [], set()
+    for n in [n for n in nodes if not setters_of[n]] + nodes:
+        if n in reached:
+            continue
+        free.append(n)
+        reached.add(n)
+        changed = True
+        while changed:
+            changed = False
+            for m in nodes:
+                if m in reached:
+                    continue
+                k = next((k for k in setters_of[m] if rules[k][1] in reached),
+                         None)
+                if k is not None:
+                    reached.add(m)
+                    steps.append(k)
+                    changed = True
+    used = set(steps)
+    return (free, [rules[k] for k in steps],
+            [r for k, r in enumerate(rules) if k not in used])
+
+
+def compatible_assignments(nodes, domains, rules):
+    """Every assignment of a value to each node that obeys every rule.
+
+    domains maps each node to its values; a rule (target, source, f),
+    with f mapping the source's domain into the target's, requires
+    value[target] == f(value[source]).  Walks the product of the free
+    nodes' domains in order and yields value tuples in node order.
+
+    >>> rules = [("b", "a", lambda x: x % 2)]
+    >>> list(compatible_assignments(["a", "b"], {"a": range(3), "b": (0, 1)},
+    ...                             rules))
+    [(0, 0), (1, 1), (2, 0)]
+    """
+    nodes = list(nodes)
+    free, steps, checks = _plan(nodes, rules)
+    for choice in itertools.product(*(domains[n] for n in free)):
+        value = dict(zip(free, choice))
+        for target, source, f in steps:
+            value[target] = f(value[source])
+        if all(value[target] == f(value[source])
+               for target, source, f in checks):
+            yield tuple(value[n] for n in nodes)
+
 
 def brute_force(nodes, domains, rules):
     out = []
@@ -118,6 +187,137 @@ def test_engine_walks_the_free_product_in_order():
 @pytest.mark.parametrize("seed", SEEDS)
 def test_engine_matches_brute_force(seed):
     check_engine(*rule_system(RngPick(random.Random(seed))))
+
+
+# -- the bit-propagation search against the walk ---------------------------
+
+def _mask(indices):
+    return sum(1 << i for i in indices)
+
+
+def _link_rule(needs, some):
+    """A link of compatible_masks as a rule of the walk: the target's
+    mask from the source's."""
+    def rule(mask):
+        return sum(1 << t for t, m in enumerate(needs)
+                   if (mask & m != 0 if some else mask & m == m))
+    return rule
+
+
+def link_system(pick):
+    """Up to four nodes of up to three bits and up to six links, each
+    target bit needing a random subset of the source's bits, at a random
+    polarity; self-loops, cycles, empty needs, conflicting links and
+    unreached nodes all occur."""
+    sizes = [pick.integer(0, 3) for _ in range(pick.integer(1, 4))]
+    links = []
+    for _ in range(pick.integer(0, 6)):
+        target = pick.integer(0, len(sizes) - 1)
+        source = pick.integer(0, len(sizes) - 1)
+        needs = [_mask(pick.subset(sizes[source])) if sizes[source] else 0
+                 for _ in range(sizes[target])]
+        links.append((target, source, needs, pick.choice((False, True))))
+    return sizes, links
+
+
+def check_search(sizes, links):
+    nodes = list(range(len(sizes)))
+    domains = {k: range(1 << size) for k, size in enumerate(sizes)}
+    rules = [(t, s, _link_rule(needs, some)) for t, s, needs, some in links]
+    assert compatible_masks(sizes, links, int) == \
+        list(compatible_assignments(nodes, domains, rules))
+
+
+def space_diagram(pick):
+    """Up to four spaces of up to three points and up to five
+    contravariant edges, each a random map between their spaces."""
+    names = [f"n{k}" for k in range(pick.integer(1, 4))]
+    spaces = {n: FiniteSpace(f"{n}p{i}" for i in range(pick.integer(0, 3)))
+              for n in names}
+    edges, maps = [], {}
+    for k in range(pick.integer(0, 5)):
+        a, b = pick.choice(names), pick.choice(names)
+        if spaces[b].size and not spaces[a].size:
+            continue  # no map from a nonempty space into an empty one
+        maps[f"e{k}"] = SpaceMap(spaces[b], spaces[a], {
+            p: pick.choice(spaces[a].points) for p in spaces[b].points})
+        edges.append((f"e{k}", a, b))
+    return ShapedDiagram(Shape(names, edges), spaces, maps,
+                         variance="contravariant")
+
+
+def walk_limit(dia):
+    """The closed-set limit by the walk over the node lattices, with one
+    closed-set image map per edge."""
+    nodes = list(dia.shape.nodes)
+    domains = {n: closed_set_lattice(dia.node_data[n]).elements
+               for n in nodes}
+    rules = [(e.src, e.dst, closed_set_map(dia.edge_data[e.id]))
+             for e in dia.shape.edges]
+    return tuple(compatible_assignments(nodes, domains, rules))
+
+
+def check_limit(dia):
+    assert limit_semilattice(dia).elements == walk_limit(dia)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_search_matches_the_walk(seed):
+    rng = random.Random(seed)
+    check_search(*link_system(RngPick(rng)))
+    check_limit(space_diagram(RngPick(rng)))
+
+
+def walk_partials(dia):
+    """Rotation-fixed partial ideals by the walk over atom subsets, as
+    mask tuples in node order."""
+    nodes = list(dia.shape.nodes)
+    rules = []
+    for e in dia.shape.edges:
+        target, source, needs = _atom_rule(e, dia.edge_data[e.id])
+        rules.append((target, source, _link_rule(needs, False)))
+    domains = {n: range(1 << dia.node_data[n].natoms) for n in nodes}
+    return list(compatible_assignments(nodes, domains, rules))
+
+
+LIMIT_CASES = [(blocks, spec) for blocks in CATALOG
+               if sum(blocks) <= ORACLE_MAX_COORDS
+               for spec in ("default", "oracle")]
+
+
+@pytest.mark.parametrize("blocks,spec", LIMIT_CASES, ids=str)
+def test_both_limits_match_the_walk(blocks, spec):
+    algebra = MultiMatrixAlgebra(blocks)
+    dia = build_subdiagram(
+        algebra, oracle_spec(algebra) if spec == "oracle" else None)
+    spaces, _ = postcompose(SpectrumFunctor, dia)
+    assert t_tilde(algebra, diagram=dia).elements == walk_limit(spaces)
+    got = [tuple(_mask(p.choice[n]) for n in dia.shape.nodes)
+           for p in enumerate_partial_ideals(dia)]
+    assert got == walk_partials(dia)
+
+
+# the product walk took 15 s on [1,2,2,2] and did not end in 9 min on
+# [3,3,3]
+@pytest.mark.parametrize("blocks", [[1, 2, 2, 2], [3, 3, 3], [2, 2, 2, 2],
+                                    [1, 2, 3, 4, 5]], ids=str)
+def test_conjecture1_past_the_product_wall(blocks):
+    report = verify_conjecture1(MultiMatrixAlgebra(blocks))
+    assert report.ok
+    assert report.t_tilde_size == report.partial_ideal_count \
+        == 2 ** len(blocks)
+
+
+def test_limit_of_a_free_twelve_point_node():
+    points = [f"p{i}" for i in range(12)]
+    diagram = {"nodes": [{"id": "u", "points": points}], "edges": []}
+    out = io.StringIO()
+    argv = ["--format", "json", "limit", "--diagram", json.dumps(diagram)]
+    assert main(argv, out) == 0
+    result = json.loads(out.getvalue())
+    assert result["size"] == 4096
+    assert [f["u"] for f in result["families"]] == [
+        sorted(s) for s in closed_set_lattice(FiniteSpace(points)).elements]
 
 
 # -- partial ideals against the projection_leq rule -------------------------
@@ -263,8 +463,7 @@ def _chain_limit():
         "i": SpaceMap(b, a, {"x": "q", "y": "q"}),
         "j": SpaceMap(c, b, {"s": "x", "t": "x", "u": "y"})},
         variance="contravariant")
-    lats, _ = postcompose(ClosedSetFunctor, dia)
-    return limit_semilattice(lats)
+    return limit_semilattice(dia)
 
 
 LATTICES = {
@@ -332,3 +531,9 @@ else:
     @given(data=st.data())
     def test_engine_matches_brute_force_property(data):
         check_engine(*rule_system(DrawPick(data)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_search_matches_the_walk_property(data):
+        check_search(*link_system(DrawPick(data)))
+        check_limit(space_diagram(DrawPick(data)))

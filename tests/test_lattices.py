@@ -67,15 +67,13 @@ class TestLimitSemilattice:
     def test_single_node(self):
         x = FiniteSpace(("a", "b"))
         d = space_diagram({"n": x}, [])
-        lats, _ = postcompose(ClosedSetFunctor, d)
-        lim = limit_semilattice(lats)
+        lim = limit_semilattice(d)
         assert lim.size == 4
 
     def test_two_nodes_no_edges_gives_product(self):
         d = space_diagram({"n": FiniteSpace(("a",)), "m": FiniteSpace(("b",))},
                           [])
-        lats, _ = postcompose(ClosedSetFunctor, d)
-        lim = limit_semilattice(lats)
+        lim = limit_semilattice(d)
         assert lim.size == 4
 
     def test_collapse_edge_constrains(self):
@@ -83,8 +81,7 @@ class TestLimitSemilattice:
         y = FiniteSpace(("p0",))
         q = SpaceMap(x, y, {"x0": "p0", "x1": "p0"})
         d = space_diagram({"u": y, "v": x}, [("i", "u", "v", q)])
-        lats, _ = postcompose(ClosedSetFunctor, d)
-        lim = limit_semilattice(lats)
+        lim = limit_semilattice(d)
         # families: (empty, empty), (whole, {x0}), (whole, {x1}), (whole, all)
         assert lim.size == 4
         assert lim.top == (frozenset({"p0"}), frozenset({"x0", "x1"}))
@@ -94,8 +91,7 @@ class TestLimitSemilattice:
         y = FiniteSpace(("p0",))
         q = SpaceMap(x, y, {"x0": "p0", "x1": "p0"})
         d = space_diagram({"u": y, "v": x}, [("i", "u", "v", q)])
-        lats, _ = postcompose(ClosedSetFunctor, d)
-        lim = limit_semilattice(lats)
+        lim = limit_semilattice(d)
         a = (frozenset({"p0"}), frozenset({"x0"}))
         b = (frozenset({"p0"}), frozenset({"x1"}))
         # the componentwise intersection (whole, empty) is not compatible;
@@ -108,8 +104,7 @@ class TestLimitSemilattice:
         algebra = MultiMatrixAlgebra([2])
         dia = build_subdiagram(algebra)
         spaces, _ = postcompose(SpectrumFunctor, dia)
-        lats, _ = postcompose(ClosedSetFunctor, spaces)
-        lim = limit_semilattice(lats)
+        lim = limit_semilattice(spaces)
         assert lim.size == 2
 
     def test_requires_contravariant(self):
@@ -118,6 +113,12 @@ class TestLimitSemilattice:
                           {"a": PresentedAbGroup.free(1)}, {})
         with pytest.raises(ValidationError):
             limit_semilattice(d)
+
+    def test_requires_spaces(self):
+        d = space_diagram({"n": FiniteSpace(("a",))}, [])
+        lats, _ = postcompose(ClosedSetFunctor, d)
+        with pytest.raises(ValidationError, match="finite spaces"):
+            limit_semilattice(lats)
 
 
 class TestMeetSemilattice:

@@ -2,8 +2,9 @@ import random
 from fractions import Fraction
 
 from ncspectrum import (IntegerRowLattice, integer_determinant,
-                        preimage_lattice, smith_normal_form, solve_integer)
-from ncspectrum.snf import integer_matmul, invariant_factors_of_rows
+                        smith_normal_form, solve_integer)
+from ncspectrum.snf import (integer_matmul, invariant_factors_of_rows,
+                            preimage_row_lattice)
 
 
 def check_snf(matrix):
@@ -118,15 +119,16 @@ class TestInvariantFactorsOfRows:
 class TestPreimageLattice:
     def test_kernel_of_doubling(self):
         # x * [2] lies in the lattice generated by [4] iff x is even
-        gens = preimage_lattice([[2]], [[4]], 1)
+        gens = preimage_row_lattice([[2]], [[4]], 1).basis_rows()
         assert gens == [[2]]
 
     def test_fold_kernel(self):
-        gens = preimage_lattice([[1], [1]], [], 1)
+        gens = preimage_row_lattice([[1], [1]], [], 1).basis_rows()
         assert gens == [[1, -1]]
 
     def test_everything_when_relations_cover(self):
-        gens = preimage_lattice([[1, 0]], [[1, 0], [0, 1]], 2)
+        gens = preimage_row_lattice([[1, 0]], [[1, 0], [0, 1]],
+                                    2).basis_rows()
         assert gens == [[1]]
 
 

@@ -17,11 +17,37 @@ from ncspectrum import (MultiMatrixAlgebra, SubdiagramInsufficientError,
                         pythagorean_unitary, sample_unital_hom, stabilize,
                         transposition_unitary, verify_conjecture1,
                         verify_naturality_square, verify_theorem1)
-from ncspectrum.ktheory import set_partitions
 
 ORACLE_MAX_COORDS = 5
 CATALOG = ([1], [2], [3], [1, 1], [2, 3], [1, 2, 2], [1, 1, 1, 1])
 ACCEPTANCE_SEED = 20260811
+
+
+def set_partitions(n: int):
+    """All set partitions of range(n), deterministically ordered.
+
+    Parts are frozensets sorted by minimum; the coarsest partition comes
+    first and the all-singletons partition last.
+    """
+    out = []
+    groups = []
+
+    def rec(i):
+        if i == n:
+            out.append(tuple(frozenset(g) for g in groups))
+            return
+        for g in groups:
+            g.append(i)
+            rec(i + 1)
+            g.pop()
+        groups.append([i])
+        rec(i + 1)
+        groups.pop()
+
+    if n == 0:
+        return [()]
+    rec(0)
+    return out
 
 
 def oracle_spec(algebra):
