@@ -24,7 +24,7 @@ from .snf import (IntegerRowLattice, SNFResult, integer_determinant,
                   smith_normal_form, solve_integer)
 from .abgroup import (AbHom, ColimitResult, PresentedAbGroup,
                       cocone_factorization, colimit, colimit_induced,
-                      element_eq, invariant_factors, kernel)
+                      element_eq, kernel)
 from .lattices import (ClosedSetFunctor, LatticeHom, MeetSemilattice,
                        closed_set_lattice, closed_set_map, limit_semilattice)
 from .ktheory import (EtaResult, K0Group, KFunctor, K_of_map, K_of_space,

@@ -2,9 +2,13 @@
 
 A group is (number of generators, integer relation rows); elements are
 integer words over the generators, equal exactly when their difference
-lies in the row lattice of the relations.  Homomorphisms carry a
-well-definedness certificate computed at construction: every domain
-relation must map into the codomain's relation lattice.
+lies in the row lattice of the relations.  Words are held sparsely, as
+{generator: coefficient} dicts: relation rows, the generator images of
+a homomorphism and what apply and compose return.  A dense row is
+accepted wherever a word is; AbHom.images is the dense view for JSON
+and tests.  Homomorphisms carry a well-definedness certificate computed
+at construction: every domain relation must map into the codomain's
+relation lattice.
 
 The colimit of a diagram of such groups is the direct sum of the node
 groups modulo one relation per generating edge and source generator,
@@ -17,8 +21,10 @@ node generator to the class of its component image.
 >>> z2 = PresentedAbGroup(1, [[2]])
 >>> element_eq(z2, (3,), (1,))
 True
->>> invariant_factors(z2)
+>>> z2.invariant_factors()
 (0, (2,))
+>>> AbHom(z, z2, [[1]]).apply({0: 3})
+{0: 3}
 """
 
 from __future__ import annotations
@@ -32,10 +38,38 @@ from .snf import (IntegerRowLattice, invariant_factors_of_rows,
                   preimage_row_lattice)
 
 
-def _sparse_of(row):
-    if isinstance(row, dict):
-        return tuple(sorted((int(j), int(c)) for j, c in row.items() if c))
-    return tuple((j, int(c)) for j, c in enumerate(row) if c)
+def _word(word, ngens: int, what: str = "word") -> dict:
+    """{generator: coefficient} of the nonzero coefficients of a word
+    given in that form or as a dense row of length ngens."""
+    if isinstance(word, dict):
+        out = {}
+        for k, c in word.items():
+            if type(k) is not int or type(c) is not int:
+                k, c = int(k), int(c)
+            if c:
+                if not 0 <= k < ngens:
+                    raise ValidationError(
+                        f"{what} mentions generator {k} of {ngens}")
+                out[k] = c
+        return out
+    word = tuple(map(int, word))
+    if len(word) != ngens:
+        raise ValidationError(
+            f"{what} length {len(word)} != {ngens} generators")
+    return {k: c for k, c in enumerate(word) if c}
+
+
+def _combine(terms, words) -> dict:
+    """The sum of c * words[j] over the (j, c) in terms."""
+    out = {}
+    for j, c in terms:
+        for k, x in words[j].items():
+            v = out.get(k, 0) + c * x
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+    return out
 
 
 class PresentedAbGroup:
@@ -51,17 +85,10 @@ class PresentedAbGroup:
         ngens = int(ngens)
         if ngens < 0:
             raise ValidationError("generator count must be nonnegative")
-        rows = []
-        for row in relations:
-            sp = _sparse_of(row)
-            if sp and sp[-1][0] >= ngens:
-                raise ValidationError("relation mentions a missing generator")
-            if not isinstance(row, dict) and len(row) != ngens:
-                raise ValidationError("relation row length must equal ngens")
-            if sp:
-                rows.append(sp)
+        rows = (tuple(sorted(_word(row, ngens, "relation").items()))
+                for row in relations)
         self.ngens = ngens
-        self.rows = tuple(rows)
+        self.rows = tuple(sp for sp in rows if sp)
         self._lattice = None
         self._invariants = None
 
@@ -69,28 +96,10 @@ class PresentedAbGroup:
     def free(cls, n: int) -> "PresentedAbGroup":
         return cls(n, ())
 
-    @classmethod
-    def trivial(cls) -> "PresentedAbGroup":
-        return cls(0, ())
-
-    @classmethod
-    def cyclic(cls, d: int) -> "PresentedAbGroup":
-        return cls(1, [[d]])
-
     @property
     def relations(self):
         """Dense relation matrix (rows of length ngens)."""
-        out = []
-        for sp in self.rows:
-            row = [0] * self.ngens
-            for j, c in sp:
-                row[j] = c
-            out.append(row)
-        return out
-
-    @property
-    def sparse_rows(self):
-        return [dict(sp) for sp in self.rows]
+        return [list(self.dense(dict(sp))) for sp in self.rows]
 
     @property
     def lattice(self) -> IntegerRowLattice:
@@ -125,23 +134,16 @@ class PresentedAbGroup:
         free, torsion = self.invariant_factors()
         return free == 0 and not torsion
 
-    def check_word(self, word):
-        word = tuple(int(x) for x in word)
-        if len(word) != self.ngens:
-            raise ValidationError(
-                f"word length {len(word)} != {self.ngens} generators")
-        return word
+    def word(self, word) -> dict:
+        """A word, sparse or dense, as {generator: coefficient}."""
+        return _word(word, self.ngens)
 
-    def contains_relation(self, word) -> bool:
-        return self.lattice.contains(self.check_word(word))
-
-    def contains_relation_sparse(self, dvec: dict) -> bool:
-        return self.lattice.contains(dvec)
-
-    def unit_word(self, i: int):
-        word = [0] * self.ngens
-        word[i] = 1
-        return tuple(word)
+    def dense(self, word) -> tuple:
+        """A sparse word as a dense row of length ngens."""
+        out = [0] * self.ngens
+        for k, c in word.items():
+            out[k] = c
+        return tuple(out)
 
     def __eq__(self, other):
         if not isinstance(other, PresentedAbGroup):
@@ -155,81 +157,65 @@ class PresentedAbGroup:
         return f"PresentedAbGroup({self.ngens} gens, {len(self.rows)} relations)"
 
 
-def invariant_factors(g: PresentedAbGroup):
-    return g.invariant_factors()
-
-
 def element_eq(g: PresentedAbGroup, x, y) -> bool:
-    """Whether two words represent the same group element.
+    """Whether two words, sparse or dense, represent the same element.
 
-    >>> element_eq(PresentedAbGroup(2, [[1, -2]]), (1, 0), (0, 2))
+    >>> element_eq(PresentedAbGroup(2, [[1, -2]]), (1, 0), {1: 2})
     True
     """
-    x = g.check_word(x)
-    y = g.check_word(y)
-    diff = {j: a - b for j, (a, b) in enumerate(zip(x, y)) if a != b}
-    return g.lattice.contains(diff)
+    return g.lattice.contains(
+        _combine(((0, 1), (1, -1)), (g.word(x), g.word(y))))
 
 
 class AbHom:
-    """A homomorphism given by generator images, certified well-defined."""
+    """A homomorphism given by generator images, sparse or dense,
+    certified well-defined; words holds them sparse."""
 
-    __slots__ = ("domain", "codomain", "images")
+    __slots__ = ("domain", "codomain", "words")
 
     def __init__(self, domain: PresentedAbGroup, codomain: PresentedAbGroup,
                  images):
-        images = tuple(tuple(int(x) for x in row) for row in images)
-        if len(images) != domain.ngens:
+        words = tuple([_word(w, codomain.ngens, "image word") for w in images])
+        if len(words) != domain.ngens:
             raise ValidationError("one image word per domain generator required")
-        for row in images:
-            if len(row) != codomain.ngens:
-                raise ValidationError("image word of the wrong length")
         self.domain = domain
         self.codomain = codomain
-        self.images = images
+        self.words = words
         self._certify()
 
     def _certify(self):
+        if not self.domain.rows:
+            return
+        lattice = self.codomain.lattice
         for sp in self.domain.rows:
-            image = {}
-            for j, c in sp:
-                for k, x in enumerate(self.images[j]):
-                    if x:
-                        v = image.get(k, 0) + c * x
-                        if v:
-                            image[k] = v
-                        else:
-                            image.pop(k, None)
-            if not self.codomain.lattice.contains(image):
+            if not lattice.contains(_combine(sp, self.words)):
                 raise ValidationError(
                     "hom is not well-defined: a domain relation does not map "
                     "into the codomain's relation lattice")
 
+    @property
+    def images(self):
+        """The generator images as dense rows of length codomain.ngens."""
+        return tuple(self.codomain.dense(w) for w in self.words)
+
     @classmethod
     def identity(cls, g: PresentedAbGroup) -> "AbHom":
-        return cls(g, g, [g.unit_word(i) for i in range(g.ngens)])
+        return cls(g, g, [{i: 1} for i in range(g.ngens)])
 
     @classmethod
     def zero(cls, domain: PresentedAbGroup, codomain: PresentedAbGroup) -> "AbHom":
-        return cls(domain, codomain, [[0] * codomain.ngens] * domain.ngens)
+        return cls(domain, codomain, [{}] * domain.ngens)
 
-    def apply(self, word):
-        word = self.domain.check_word(word)
-        out = [0] * self.codomain.ngens
-        for i, c in enumerate(word):
-            if c:
-                row = self.images[i]
-                for k in range(self.codomain.ngens):
-                    if row[k]:
-                        out[k] += c * row[k]
-        return tuple(out)
+    def apply(self, word) -> dict:
+        """The image of a word, sparse or dense, as a sparse word."""
+        return _combine(self.domain.word(word).items(), self.words)
 
     def compose(self, other: "AbHom") -> "AbHom":
         """self after other."""
         if other.codomain != self.domain:
             raise ValidationError("homs do not chain")
         return AbHom(other.domain, self.codomain,
-                     [self.apply(row) for row in other.images])
+                     [_combine(w.items(), self.words) for w in other.words])
 
     def equal_as_maps(self, other: "AbHom") -> bool:
         """Agreement on every generator, modulo codomain relations."""
@@ -237,14 +223,14 @@ class AbHom:
             return False
         if self.domain != other.domain or self.codomain != other.codomain:
             return False
-        return all(element_eq(self.codomain, a, b)
-                   for a, b in zip(self.images, other.images))
+        return all(a == b or element_eq(self.codomain, a, b)
+                   for a, b in zip(self.words, other.words))
 
     def __eq__(self, other):
         if not isinstance(other, AbHom):
             return NotImplemented
         return (self.domain == other.domain and self.codomain == other.codomain
-                and self.images == other.images)
+                and self.words == other.words)
 
     def __repr__(self):
         return f"AbHom({self.domain.ngens} gens -> {self.codomain.ngens} gens)"
@@ -266,9 +252,6 @@ class ColimitResult:
     injections: dict
     offsets: dict
 
-    def generator_position(self, node, i: int) -> int:
-        return self.offsets[node] + i
-
 
 def colimit(diagram: ShapedDiagram) -> ColimitResult:
     """Generalized colimit of a covariant diagram of presented groups.
@@ -289,22 +272,18 @@ def colimit(diagram: ShapedDiagram) -> ColimitResult:
     rows = []
     for n in nodes:
         off = offsets[n]
-        for sp in diagram.node_data[n].rows:
-            rows.append({off + j: c for j, c in sp})
+        rows.extend({off + j: c for j, c in sp}
+                    for sp in diagram.node_data[n].rows)
     for e in diagram.shape.edges:
-        hom = diagram.edge_data[e.id]
         off_src = offsets[e.src]
         off_dst = offsets[e.dst]
-        for i, image in enumerate(hom.images):
-            row = {off_src + i: 1}
-            for k, c in enumerate(image):
-                if c:
-                    key = off_dst + k
-                    v = row.get(key, 0) - c
-                    if v:
-                        row[key] = v
-                    else:
-                        row.pop(key, None)
+        for i, word in enumerate(diagram.edge_data[e.id].words):
+            row = {off_dst + k: -c for k, c in word.items()}
+            v = row.get(off_src + i, 0) + 1
+            if v:
+                row[off_src + i] = v
+            else:
+                del row[off_src + i]
             if row:
                 rows.append(row)
     group = PresentedAbGroup(total, rows)
@@ -312,12 +291,7 @@ def colimit(diagram: ShapedDiagram) -> ColimitResult:
     for n in nodes:
         g = diagram.node_data[n]
         off = offsets[n]
-        images = []
-        for i in range(g.ngens):
-            word = [0] * total
-            word[off + i] = 1
-            images.append(word)
-        injections[n] = AbHom(g, group, images)
+        injections[n] = AbHom(g, group, [{off + i: 1} for i in range(g.ngens)])
     return ColimitResult(group=group, injections=injections, offsets=offsets)
 
 
@@ -339,18 +313,12 @@ def colimit_induced(morphism: DiagramMorphism, src_diagram: ShapedDiagram,
         src_colimit = colimit(src_diagram)
     if dst_colimit is None:
         dst_colimit = colimit(dst_diagram)
-    total = dst_colimit.group.ngens
-    images = []
+    words = []
     for n in src_diagram.shape.nodes:
-        comp = morphism.components[n]
         off = dst_colimit.offsets[morphism.node_map[n]]
-        for i in range(src_diagram.node_data[n].ngens):
-            word = [0] * total
-            for k, c in enumerate(comp.images[i]):
-                if c:
-                    word[off + k] += c
-            images.append(word)
-    return AbHom(src_colimit.group, dst_colimit.group, images)
+        words.extend({off + k: c for k, c in w.items()}
+                     for w in morphism.components[n].words)
+    return AbHom(src_colimit.group, dst_colimit.group, words)
 
 
 def kernel(hom: AbHom):
@@ -365,17 +333,18 @@ def kernel(hom: AbHom):
     domain, codomain = hom.domain, hom.codomain
     r_cod = codomain.lattice.basis_rows()
     if domain.ngens:
+        # the Smith form takes dense rows
         klat = preimage_row_lattice(hom.images, r_cod, codomain.ngens)
     else:
         klat = IntegerRowLattice(0)
-    gens = klat.basis_rows()
+    gens = klat.basis_sparse()
     rels = []
-    for row in domain.lattice.basis_rows():
+    for row in domain.lattice.basis_sparse():
         coords = klat.coordinates(row)
         if coords is None:
             raise ValidationError(
                 "internal error: a domain relation escapes the kernel lattice")
-        rels.append({k: c for k, c in coords.items()})
+        rels.append(coords)
     group = PresentedAbGroup(len(gens), rels)
     inclusion = AbHom(group, domain, gens)
     return group, inclusion
@@ -394,14 +363,14 @@ def cocone_factorization(diagram: ShapedDiagram, colim: ColimitResult,
         left = legs[e.dst].compose(hom)
         if not left.equal_as_maps(legs[e.src]):
             raise ValidationError(f"cocone does not commute with edge {e.id}")
-    images = []
+    words = []
     for n in diagram.shape.nodes:
-        images.extend(legs[n].images)
-    return AbHom(colim.group, target, images)
+        words.extend(legs[n].words)
+    return AbHom(colim.group, target, words)
 
 
 __all__ = [
     "PresentedAbGroup", "AbHom", "ColimitResult",
-    "invariant_factors", "element_eq", "colimit", "colimit_induced",
+    "element_eq", "colimit", "colimit_induced",
     "kernel", "cocone_factorization",
 ]

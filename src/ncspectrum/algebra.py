@@ -63,14 +63,6 @@ class MultiMatrixAlgebra:
         """Global index of the first diagonal coordinate of block i."""
         return sum(self.blocks[:i])
 
-    def coord_to_block(self, coord: int):
-        """Map a global diagonal coordinate to (block, position)."""
-        for i, n in enumerate(self.blocks):
-            if coord < n:
-                return i, coord
-            coord -= n
-        raise ValidationError(f"coordinate {coord} out of range")
-
     def element(self, parts) -> "AlgebraElement":
         return AlgebraElement(self, parts)
 
@@ -519,13 +511,15 @@ class InnerAutomorphism:
     it (see support), and conjugates densely otherwise.
     """
 
-    __slots__ = ("algebra", "_u", "name", "coord_perm", "_support")
+    __slots__ = ("algebra", "_u", "_u_adjoint", "name", "coord_perm",
+                 "_support")
 
     def __init__(self, u: AlgebraElement, name: str = ""):
         if not u.is_unitary():
             raise ValidationError("conjugating element must be unitary in every block")
         self.algebra = u.algebra
         self._u = u
+        self._u_adjoint = None
         self.name = name or "u"
         self.coord_perm = None
         self._support = None
@@ -552,6 +546,7 @@ class InnerAutomorphism:
         self = object.__new__(cls)
         self.algebra = algebra
         self._u = None
+        self._u_adjoint = None
         self.name = name or "perm"
         self.coord_perm = perm
         self._support = None
@@ -572,6 +567,13 @@ class InnerAutomorphism:
                 offset += m
             self._u = AlgebraElement(self.algebra, parts)
         return self._u
+
+    @property
+    def u_adjoint(self) -> AlgebraElement:
+        """u*, built once on first read."""
+        if self._u_adjoint is None:
+            self._u_adjoint = self.u.adjoint()
+        return self._u_adjoint
 
     @property
     def support(self) -> frozenset:
@@ -608,13 +610,12 @@ class InnerAutomorphism:
                     a.algebra, frozenset(self.coord_perm[c] for c in mask))
             if self.support <= mask or self.support.isdisjoint(mask):
                 return a
-        u = self.u
-        return u * a * u.adjoint()
+        return self.u * a * self.u_adjoint
 
     def inverse(self) -> "InnerAutomorphism":
         name = f"{self.name}^-1"
         if self.coord_perm is None:
-            return InnerAutomorphism(self.u.adjoint(), name=name)
+            return InnerAutomorphism(self.u_adjoint, name=name)
         perm = [0] * len(self.coord_perm)
         for i, p in enumerate(self.coord_perm):
             perm[p] = i

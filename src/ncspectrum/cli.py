@@ -45,8 +45,8 @@ def _emit(result: dict, fmt: str, out):
             out.write(line + "\n")
 
 
-def _sparse_word(word):
-    return {str(i): c for i, c in enumerate(word) if c}
+def _word_json(word):
+    return {str(k): c for k, c in sorted(word.items())}
 
 
 def _load_algebra_arg(arg: str):
@@ -67,10 +67,8 @@ def cmd_k0(args, out) -> int:
         spec = _load_spec_arg(args.spec, stabilized)
         group = k_tilde_f(stabilized, spec)
     gstr = group.canonical_str()
-    table = []
-    for i in range(algebra.nblocks):
-        rank_one = tuple(1 if j == i else 0 for j in range(algebra.nblocks))
-        table.append({"block": i, "class": _sparse_word(group.class_of(rank_one))})
+    table = [{"block": i, "class": _word_json(word)}
+             for i, word in enumerate(group.block_words)]
     text = [gstr]
     for row in table:
         text.append(f"block {row['block']}: class {row['class']}")
@@ -149,7 +147,7 @@ def cmd_colimit(args, out) -> int:
     text = [gstr]
     injections = {}
     for nid in diagram.shape.nodes:
-        rows = [_sparse_word(w) for w in result.injections[nid].images]
+        rows = [_word_json(w) for w in result.injections[nid].words]
         injections[nid] = rows
         text.append(f"node {nid}: injections {rows}")
     _emit({"group": gstr, "injections": injections, "text": text},

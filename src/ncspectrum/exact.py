@@ -264,9 +264,6 @@ class ExactMatrix:
     def row_list(self, i: int):
         return list(self.entries[i * self.cols:(i + 1) * self.cols])
 
-    def to_rows(self):
-        return [self.row_list(i) for i in range(self.rows)]
-
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError(

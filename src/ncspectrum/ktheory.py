@@ -52,13 +52,10 @@ def K_of_map(q: SpaceMap) -> AbHom:
     Sends the generator at a target point to the sum of generators over
     its preimage (pullback of trivial bundles).
     """
-    src_group = K_of_space(q.target)
-    dst_group = K_of_space(q.source)
-    images = []
-    for p in q.target.points:
-        row = [1 if q.assignment[x] == p else 0 for x in q.source.points]
-        images.append(row)
-    return AbHom(src_group, dst_group, images)
+    words = [{} for _ in q.target.points]
+    for x, p in enumerate(q.source.points):
+        words[q.target.position(q.assignment[p])][x] = 1
+    return AbHom(K_of_space(q.target), K_of_space(q.source), words)
 
 
 KFunctor = Functor(on_object=K_of_space, on_morphism=K_of_map,
@@ -154,19 +151,24 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
         parts_by_id[nid] = parts
     fine_id = "d:" + partition_label(finest)
 
-    kept = []
+    # a rotation that moves no finest atom is dropped
+    kept, fine_images = [], []
+    fine_atoms = node_data[fine_id].atoms
     for alpha in spec.rotations:
         if alpha.algebra != algebra:
             raise ValidationError("rotation lives in a different algebra")
-        if not alpha.acts_trivially_on(node_data[fine_id].atoms):
+        images = tuple(alpha.conjugate(p) for p in fine_atoms)
+        if images != fine_atoms:
             kept.append(alpha)
+            fine_images.append(images)
 
     # rotated copies; placement maps raw conjugate order to node atom order
     placements = {}
     for r, alpha in enumerate(kept):
         for bid in base_ids:
             u = node_data[bid]
-            raw = tuple(alpha.conjugate(p) for p in u.atoms)
+            raw = fine_images[r] if bid == fine_id else tuple(
+                alpha.conjugate(p) for p in u.atoms)
             key = frozenset(raw)
             tid = by_key.get(key)
             if tid is None:
@@ -276,7 +278,7 @@ class K0Group:
     def __init__(self, group: PresentedAbGroup, block_words,
                  context: KTildeContext | None = None):
         self.group = group
-        self.block_words = tuple(tuple(w) for w in block_words)
+        self.block_words = tuple(group.word(w) for w in block_words)
         self.context = context
 
     @property
@@ -284,16 +286,14 @@ class K0Group:
         return len(self.block_words)
 
     def class_of(self, ranks):
-        """Group word of the class with the given per-block ranks."""
+        """Dense group word of the class with the given per-block ranks."""
         ranks = tuple(int(r) for r in ranks)
         if len(ranks) != self.nblocks:
             raise ValidationError("one rank per block required")
         word = [0] * self.group.ngens
         for r, bw in zip(ranks, self.block_words):
-            if r:
-                for k, c in enumerate(bw):
-                    if c:
-                        word[k] += r * c
+            for k, c in bw.items():
+                word[k] += r * c
         return tuple(word)
 
     def class_of_projection(self, p: AlgebraElement):
@@ -359,8 +359,7 @@ def k0_standard(algebra: MultiMatrixAlgebra) -> K0Group:
     algebra is exactly equality of rank vectors.
     """
     k = algebra.nblocks
-    free = PresentedAbGroup.free(k)
-    return K0Group(free, [free.unit_word(i) for i in range(k)])
+    return K0Group(PresentedAbGroup.free(k), [{i: 1} for i in range(k)])
 
 
 def k0_standard_hom(phi: StarHom) -> AbHom:
@@ -384,15 +383,9 @@ def _ktilde_from(algebra: MultiMatrixAlgebra, dia: ShapedDiagram,
     off = colim.offsets[fine]
     positions = tuple(off + algebra.block_offset(i)
                       for i in range(algebra.nblocks))
-    total = colim.group.ngens
-    block_words = []
-    for pos in positions:
-        w = [0] * total
-        w[pos] = 1
-        block_words.append(w)
     ctx = KTildeContext(algebra=algebra, spec=dia.meta["spec"], diagram=dia,
                         colim=colim, block_positions=positions)
-    return K0Group(colim.group, block_words, ctx)
+    return K0Group(colim.group, [{pos: 1} for pos in positions], ctx)
 
 
 def k_tilde_f(algebra: MultiMatrixAlgebra, spec: SubdiagramSpec | None = None,
@@ -669,12 +662,12 @@ def verify_naturality_square(phi: StarHom,
     k0_phi = k0_standard_hom(phi)
 
     for i in range(phi.domain.nblocks):
-        left = induced.apply(eta_a.images[i])
-        right = eta_b.apply(k0_phi.images[i])
+        left = induced.apply(eta_a.words[i])
+        right = eta_b.apply(k0_phi.words[i])
         if not element_eq(kt_b.group, left, right):
-            return NaturalityReport(
-                phi=phi, m=m, ok=False,
-                witness={"generator": i, "left": left, "right": right})
+            return NaturalityReport(phi=phi, m=m, ok=False, witness={
+                "generator": i, "left": kt_b.group.dense(left),
+                "right": kt_b.group.dense(right)})
     return NaturalityReport(phi=phi, m=m, ok=True)
 
 
@@ -701,19 +694,14 @@ def k_tilde_f_nonunital(algebra: MultiMatrixAlgebra,
     fine = dia_p.meta["fine"]
     off = colim_p.offsets[fine]
     klat = IntegerRowLattice(colim_p.group.ngens)
-    for row in inclusion.images:
-        klat.insert(row)
+    for word in inclusion.words:
+        klat.insert(word)
     block_words = []
-    ngens = ker_group.ngens
     for i in range(algebra.nblocks):
-        w = {off + stabilized.block_offset(i): 1}
-        coords = klat.coordinates(w)
+        coords = klat.coordinates({off + stabilized.block_offset(i): 1})
         if coords is None:
             raise SubdiagramInsufficientError(
                 "block class does not lie in the kernel presentation",
                 witness={"block": i})
-        word = [0] * ngens
-        for k, c in coords.items():
-            word[k] = c
-        block_words.append(tuple(word))
+        block_words.append(coords)
     return K0Group(ker_group, block_words)

@@ -239,13 +239,18 @@ def compatible_masks(sizes, links, rank):
     A Davis-Logemann-Loveland search over the (node, bit) variables
     decides the first undecided bit, propagates units and drops a branch
     on a conflict: its work grows with the solutions, not with the
-    product of the domains.  Solutions are sorted by the rank of their
-    masks at the free nodes, the order of a walk over those values.
+    product of the domains.  A node that no link touches takes every
+    mask, so it is left out of the search and multiplied in after it.
+    Solutions are sorted by the rank of their masks at the free nodes,
+    the order of a walk over those values.
 
     >>> compatible_masks([2, 2], [(1, 0, [1, 1], False)], int)
     [(0, 0), (1, 3), (2, 0), (3, 3)]
     """
-    offsets = list(itertools.accumulate(sizes, initial=0))
+    linked = {k for target, source, _needs, _some in links
+              for k in (target, source)}
+    searched = [n if k in linked else 0 for k, n in enumerate(sizes)]
+    offsets = list(itertools.accumulate(searched, initial=0))
     # literal 2*v + (not x) holds when variable v has the value x
     implied = [[] for _ in range(2 * offsets[-1])]
     watched = [[] for _ in implied]  # clauses, by negated literal
@@ -288,7 +293,7 @@ def compatible_masks(sizes, links, rank):
                     queue.append(open_lit)
         return truth
 
-    weights = [1 << b for b in range(max(sizes, default=0))]
+    weights = [1 << b for b in range(max(searched, default=0))]
     found, stack = [], [propagate([None] * len(implied), units)]
     while stack:
         truth = stack.pop()
@@ -302,15 +307,34 @@ def compatible_masks(sizes, links, rank):
             values = truth[::2]
             found.append(tuple(
                 sum(itertools.compress(weights, values[off:off + n]))
-                for off, n in zip(offsets, sizes)))
+                for off, n in zip(offsets, searched)))
+    for k, n in enumerate(sizes):
+        if k not in linked:
+            found = [ms[:k] + (m,) + ms[k + 1:]
+                     for ms in found for m in range(1 << n)]
     free = _free_nodes(len(sizes), links)
     return sorted(found, key=lambda ms: [rank(ms[k]) for k in free])
 
 
+_FLIP = str.maketrans("01", "10")
+
+
 def _closed_set_rank(mask):
-    """A closed set's place in its lattice: size, then point positions."""
-    return (mask.bit_count(),
-            [i for i in range(mask.bit_length()) if mask >> i & 1])
+    """A closed set's place in its lattice: size, then point positions,
+    which sort as the flipped bit strings read from point 0."""
+    return mask.bit_count(), format(mask, "b")[::-1].translate(_FLIP)
+
+
+def _subset_of(points):
+    """Bitmask over the points -> set of points, visiting set bits only."""
+    def subset(mask):
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(points[low.bit_length() - 1])
+            mask ^= low
+        return frozenset(out)
+    return subset
 
 
 def limit_semilattice(diagram: ShapedDiagram) -> MeetSemilattice:
@@ -336,9 +360,9 @@ def limit_semilattice(diagram: ShapedDiagram) -> MeetSemilattice:
         for x, p in enumerate(q.source.points):
             over[q.target.position(q.assignment[p])] |= 1 << x
         links.append((index[e.src], index[e.dst], over, True))
+    subsets = [_subset_of(space.points) for space in spaces]
     families = [
-        tuple(frozenset(p for i, p in enumerate(space.points) if mask >> i & 1)
-              for space, mask in zip(spaces, masks))
+        tuple(subset(mask) for subset, mask in zip(subsets, masks))
         for masks in compatible_masks([s.size for s in spaces], links,
                                       _closed_set_rank)]
 

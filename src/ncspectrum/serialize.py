@@ -212,6 +212,9 @@ def load_ab_diagram(data) -> ShapedDiagram:
     edges = []
     edge_data = {}
     for eid, src, dst, images in edge_list:
+        if not _is_int_rows(images):
+            raise ValidationError(
+                f"diagram edge {eid!r}: images must be rows of integers")
         edges.append((eid, src, dst))
         if variance == COVARIANT:
             dom, cod = node_data[src], node_data[dst]

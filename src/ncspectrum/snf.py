@@ -336,26 +336,6 @@ class IntegerRowLattice:
                 self.pivots[j] = new_row
                 v = new_v
 
-    def reduce(self, vec) -> dict:
-        """Remainder of a vector modulo the lattice (not canonical, but
-        zero exactly on lattice members given exact division steps)."""
-        v = self._to_sparse(vec)
-        while v:
-            j = min(v)
-            row = self.pivots.get(j)
-            if row is None:
-                return v
-            q, rem = divmod(v[j], row[j])
-            if rem:
-                return v
-            for c, x in row.items():
-                nv = v.get(c, 0) - q * x
-                if nv:
-                    v[c] = nv
-                else:
-                    v.pop(c, None)
-        return v
-
     def contains(self, vec) -> bool:
         v = self._to_sparse(vec)
         while v:

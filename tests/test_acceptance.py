@@ -158,7 +158,7 @@ def test_generalized_colimit_universal_property():
         target = PresentedAbGroup(res.group.ngens,
                                   list(res.group.relations) + [extra])
         quotient = AbHom(res.group, target,
-                         [target.unit_word(i) for i in range(target.ngens)])
+                         [{i: 1} for i in range(target.ngens)])
         legs = {n: quotient.compose(res.injections[n])
                 for n in d.shape.nodes}
         h = cocone_factorization(d, res, target, legs)
@@ -173,8 +173,7 @@ def test_generalized_colimit_universal_property():
         m1 = DiagramMorphism(
             node_map={n: n for n in d.shape.nodes},
             edge_map={e.id: (e.id,) for e in d.shape.edges},
-            components={n: AbHom(g, g, [[scale * x for x in g.unit_word(i)]
-                                        for i in range(g.ngens)])
+            components={n: AbHom(g, g, [{i: scale} for i in range(g.ngens)])
                         for n, g in d.node_data.items()},
             direction=FORWARD)
         point = ShapedDiagram(Shape(["pt"], []), {"pt": res.group}, {})

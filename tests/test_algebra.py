@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from ncspectrum import (ExactMatrix, GaussianRational,
+from ncspectrum import (AlgebraElement, ExactMatrix, GaussianRational,
                         InnerAutomorphism, MultiMatrixAlgebra, StarHom,
                         ValidationError, diagonal_projection,
                         pythagorean_unitary, sample_unital_hom, stabilize,
@@ -96,6 +96,22 @@ class TestConjugate:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValidationError):
             InnerAutomorphism(diagonal_projection(M2, [0]))
+
+    def test_dense_rotation_builds_its_adjoint_once(self, monkeypatch):
+        alpha = pythagorean_unitary(M23, 1)
+        calls = []
+        adjoint = AlgebraElement.adjoint
+
+        def counted(self):
+            calls.append(self)
+            return adjoint(self)
+        monkeypatch.setattr(AlgebraElement, "adjoint", counted)
+        # coordinate 2 is half of the rotation's support: a dense conjugation
+        p = diagonal_projection(M23, [2])
+        images = [alpha.conjugate(p) for _ in range(6)]
+        assert len(calls) == 1
+        assert all(q == images[0] and q.is_projection() for q in images)
+        assert alpha.inverse().conjugate(images[0]) == p
 
 
 class TestCompose:

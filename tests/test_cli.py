@@ -107,6 +107,10 @@ class TestInvalidInput:
                     '"source":"yy","target":"a","images":[[1]]}]}', "'yy'"),
         ("colimit", '{"nodes":[{"id":"a","ngens":1}],"edges":[{"id":"u",'
                     '"source":"a","target":"a"}]}', "'u'"),
+        ("colimit", '{"nodes":[{"id":"a","ngens":1}],"edges":[{"id":"u",'
+                    '"source":"a","target":"a","images":[{"0":1}]}]}', "'u'"),
+        ("colimit", '{"nodes":[{"id":"a","ngens":1}],"edges":[{"id":"u",'
+                    '"source":"a","target":"a","images":[[true]]}]}', "'u'"),
         ("colimit", '{"nodes":[{"ngens":1}],"edges":[]}', '"id"'),
         ("colimit", '{"nodes":[{"id":"a"}],"edges":[]}', '"ngens"'),
         ("limit", '{"nodes":[{"id":"a","ngens":1}],"edges":[{"source":"a",'

@@ -38,7 +38,8 @@ from ncspectrum import (MultiMatrixAlgebra, PartialIdeal, ShapedDiagram,
 from ncspectrum.algebra import projection_leq
 from ncspectrum.cli import main
 from ncspectrum.ideals import _atom_rule, _incidence
-from ncspectrum.lattices import MeetSemilattice, compatible_masks
+from ncspectrum.lattices import (MeetSemilattice, _closed_set_rank,
+                                 compatible_masks)
 from ncspectrum.serialize import load_spec
 from ncspectrum.subalgebra import FiniteSpace, SpaceMap
 
@@ -318,6 +319,16 @@ def test_limit_of_a_free_twelve_point_node():
     assert result["size"] == 4096
     assert [f["u"] for f in result["families"]] == [
         sorted(s) for s in closed_set_lattice(FiniteSpace(points)).elements]
+
+
+def test_closed_set_rank_is_size_then_point_positions():
+    def positions(mask):
+        return mask.bit_count(), [i for i in range(mask.bit_length())
+                                  if mask >> i & 1]
+    for n in range(11):
+        masks = range(1 << n)
+        assert sorted(masks, key=_closed_set_rank) == \
+            sorted(masks, key=positions)
 
 
 # -- partial ideals against the projection_leq rule -------------------------

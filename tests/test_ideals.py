@@ -1,12 +1,12 @@
 import pytest
 
-from ncspectrum import (MultiMatrixAlgebra, PartialIdeal, SubdiagramSpec,
-                        TotalIdeal, ValidationError, build_subdiagram,
-                        diagonal_projection, enumerate_partial_ideals,
-                        is_rotation_fixed, partial_from_total,
-                        reconstruct_total, restrict_total, span_subalgebra,
-                        t_tilde, total_ideal_lattice, transposition_unitary,
-                        verify_conjecture1)
+from ncspectrum import (AlgebraElement, MultiMatrixAlgebra, PartialIdeal,
+                        SubdiagramSpec, TotalIdeal, ValidationError,
+                        build_subdiagram, diagonal_projection,
+                        enumerate_partial_ideals, is_rotation_fixed,
+                        partial_from_total, reconstruct_total, restrict_total,
+                        span_subalgebra, t_tilde, total_ideal_lattice,
+                        transposition_unitary, verify_conjecture1)
 
 M2 = MultiMatrixAlgebra([2])
 M23 = MultiMatrixAlgebra([2, 3])
@@ -154,6 +154,21 @@ class TestEnumeration:
 
 
 class TestConjecture1:
+    def test_block_supports_are_computed_once_per_atom(self, monkeypatch):
+        algebra = MultiMatrixAlgebra([1, 2, 3, 4, 5])
+        atoms = sum(node.natoms
+                    for node in build_subdiagram(algebra).node_data.values())
+        calls = []
+        rank_vector = AlgebraElement.rank_vector
+
+        def counted(self):
+            calls.append(self)
+            return rank_vector(self)
+        monkeypatch.setattr(AlgebraElement, "rank_vector", counted)
+        rep = verify_conjecture1(algebra)
+        assert rep.ok and rep.t_tilde_size == rep.partial_ideal_count == 32
+        assert len(calls) <= atoms
+
     def test_scalars(self):
         rep = verify_conjecture1(MultiMatrixAlgebra([1]))
         assert rep.ok and rep.t_tilde_size == 2
