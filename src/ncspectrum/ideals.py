@@ -55,29 +55,13 @@ class TotalIdeal:
         return f"TotalIdeal(blocks={sorted(self.blocks)})"
 
 
-def block_support(p) -> frozenset:
-    """Blocks on which an element has a nonzero component."""
-    if p.diag_mask is not None:
-        return frozenset(i for i, r in enumerate(p.rank_vector()) if r)
-    return frozenset(i for i, part in enumerate(p.parts) if not part.is_zero())
-
-
-def atom_supports(diagram: ShapedDiagram) -> dict:
-    """Node id -> the block support of each atom of the node."""
-    return {n: tuple(block_support(p) for p in diagram.node_data[n].atoms)
-            for n in diagram.shape.nodes}
-
-
-def _restrict(ideal: TotalIdeal, u: CommSubalgebra, supports) -> frozenset:
-    if ideal.algebra != u.algebra:
-        raise ValidationError("ideal and subalgebra parents differ")
-    return frozenset(i for i, s in enumerate(supports) if s <= ideal.blocks)
-
-
 def restrict_total(ideal: TotalIdeal, u: CommSubalgebra) -> frozenset:
     """Indices of the atoms of U lying in the ideal: those whose matrix
     components vanish outside the ideal's blocks."""
-    return _restrict(ideal, u, [block_support(p) for p in u.atoms])
+    if ideal.algebra != u.algebra:
+        raise ValidationError("ideal and subalgebra parents differ")
+    return frozenset(i for i, s in enumerate(u.block_supports)
+                     if s <= ideal.blocks)
 
 
 def _mask(indices) -> int:
@@ -165,12 +149,9 @@ def is_rotation_fixed(partial: PartialIdeal) -> bool:
     return partial.rotation_failure() is None
 
 
-def partial_from_total(ideal: TotalIdeal, diagram: ShapedDiagram,
-                       supports: dict | None = None) -> PartialIdeal:
+def partial_from_total(ideal: TotalIdeal, diagram: ShapedDiagram) -> PartialIdeal:
     """The partial ideal induced by a total ideal, node by node."""
-    if supports is None:
-        supports = atom_supports(diagram)
-    choice = {n: _restrict(ideal, diagram.node_data[n], supports[n])
+    choice = {n: restrict_total(ideal, diagram.node_data[n])
               for n in diagram.shape.nodes}
     return PartialIdeal(diagram, choice)
 
@@ -186,23 +167,20 @@ class ReconstructionResult:
         return self.ok
 
 
-def reconstruct_total(partial: PartialIdeal,
-                      supports: dict | None = None) -> ReconstructionResult:
+def reconstruct_total(partial: PartialIdeal) -> ReconstructionResult:
     """Candidate total ideal from the union of chosen-atom supports;
     succeeds iff restriction of the candidate reproduces the choice on
     every node.  Failure is a value naming the first violating node."""
-    dia = partial.diagram
-    if supports is None:
-        supports = atom_supports(dia)
     algebra = None
     blocks = set()
-    for n in dia.shape.nodes:
-        algebra = dia.node_data[n].algebra
+    for n in partial.diagram.shape.nodes:
+        node = partial.diagram.node_data[n]
+        algebra = node.algebra
         for i in partial.choice[n]:
-            blocks |= supports[n][i]
+            blocks |= node.block_supports[i]
     candidate = TotalIdeal(algebra, blocks)
-    for n in dia.shape.nodes:
-        expected = _restrict(candidate, dia.node_data[n], supports[n])
+    for n in partial.diagram.shape.nodes:
+        expected = restrict_total(candidate, partial.diagram.node_data[n])
         if expected != partial.choice[n]:
             return ReconstructionResult(
                 ok=False, failing_node=n,
@@ -295,7 +273,6 @@ def verify_conjecture1(algebra: MultiMatrixAlgebra,
         spec = SubdiagramSpec.default(algebra)
     dia = build_subdiagram(algebra, spec)
     nodes = list(dia.shape.nodes)
-    supports = atom_supports(dia)
     lattice = t_tilde(algebra, spec, diagram=dia)
     ideals = total_ideal_lattice(algebra)
 
@@ -311,7 +288,7 @@ def verify_conjecture1(algebra: MultiMatrixAlgebra,
                                if f"p{i}" not in closed)
             choice[n] = chosen
         partial = PartialIdeal(dia, choice)
-        rec = reconstruct_total(partial, supports)
+        rec = reconstruct_total(partial)
         if not rec:
             iso_ok = False
             witness = {"family": family, "failure": rec.detail,
@@ -335,25 +312,25 @@ def verify_conjecture1(algebra: MultiMatrixAlgebra,
     round_trip_ok = True
     seen_ideals = set()
     for partial in partials:
-        rec = reconstruct_total(partial, supports)
+        rec = reconstruct_total(partial)
         if not rec:
             round_trip_ok = False
             witness = witness or {"reason": "partial ideal fails reconstruction",
                                   "node": rec.failing_node}
             continue
-        back = partial_from_total(rec.ideal, dia, supports)
+        back = partial_from_total(rec.ideal, dia)
         if back.choice != partial.choice:
             round_trip_ok = False
             witness = witness or {"reason": "restriction round trip failed",
                                   "ideal": sorted(rec.ideal.blocks)}
         seen_ideals.add(rec.ideal)
     for ideal in ideals.elements:
-        induced = partial_from_total(ideal, dia, supports)
+        induced = partial_from_total(ideal, dia)
         if not induced.is_compatible() or not is_rotation_fixed(induced):
             round_trip_ok = False
             witness = witness or {"reason": "induced partial ideal not admissible",
                                   "ideal": sorted(ideal.blocks)}
-        rec = reconstruct_total(induced, supports)
+        rec = reconstruct_total(induced)
         if not rec or rec.ideal != ideal:
             round_trip_ok = False
             witness = witness or {"reason": "total ideal round trip failed",

@@ -239,18 +239,13 @@ def compatible_masks(sizes, links, rank):
     A Davis-Logemann-Loveland search over the (node, bit) variables
     decides the first undecided bit, propagates units and drops a branch
     on a conflict: its work grows with the solutions, not with the
-    product of the domains.  A node that no link touches takes every
-    mask, so it is left out of the search and multiplied in after it.
-    Solutions are sorted by the rank of their masks at the free nodes,
-    the order of a walk over those values.
+    product of the domains.  Solutions are sorted by the rank of their
+    masks at the free nodes, the order of a walk over those values.
 
     >>> compatible_masks([2, 2], [(1, 0, [1, 1], False)], int)
     [(0, 0), (1, 3), (2, 0), (3, 3)]
     """
-    linked = {k for target, source, _needs, _some in links
-              for k in (target, source)}
-    searched = [n if k in linked else 0 for k, n in enumerate(sizes)]
-    offsets = list(itertools.accumulate(searched, initial=0))
+    offsets = list(itertools.accumulate(sizes, initial=0))
     # literal 2*v + (not x) holds when variable v has the value x
     implied = [[] for _ in range(2 * offsets[-1])]
     watched = [[] for _ in implied]  # clauses, by negated literal
@@ -293,7 +288,7 @@ def compatible_masks(sizes, links, rank):
                     queue.append(open_lit)
         return truth
 
-    weights = [1 << b for b in range(max(searched, default=0))]
+    weights = [1 << b for b in range(max(sizes, default=0))]
     found, stack = [], [propagate([None] * len(implied), units)]
     while stack:
         truth = stack.pop()
@@ -307,11 +302,7 @@ def compatible_masks(sizes, links, rank):
             values = truth[::2]
             found.append(tuple(
                 sum(itertools.compress(weights, values[off:off + n]))
-                for off, n in zip(offsets, searched)))
-    for k, n in enumerate(sizes):
-        if k not in linked:
-            found = [ms[:k] + (m,) + ms[k + 1:]
-                     for ms in found for m in range(1 << n)]
+                for off, n in zip(offsets, sizes)))
     free = _free_nodes(len(sizes), links)
     return sorted(found, key=lambda ms: [rank(ms[k]) for k in free])
 

@@ -45,7 +45,7 @@ class CommSubalgebra:
     identity; this is validated at construction.
     """
 
-    __slots__ = ("algebra", "atoms", "_key", "_index")
+    __slots__ = ("algebra", "atoms", "_key", "_index", "_supports")
 
     def __init__(self, algebra: MultiMatrixAlgebra, atoms, validate=True):
         atoms = tuple(atoms)
@@ -72,6 +72,7 @@ class CommSubalgebra:
         self.atoms = atoms
         self._key = None
         self._index = None
+        self._supports = None
 
     @property
     def natoms(self) -> int:
@@ -83,6 +84,18 @@ class CommSubalgebra:
         if self._key is None:
             self._key = frozenset(self.atoms)
         return self._key
+
+    @property
+    def block_supports(self) -> tuple:
+        """Per atom, the blocks on which it has a nonzero component."""
+        if self._supports is None:
+            self._supports = tuple(
+                frozenset(i for i, r in enumerate(p.rank_vector()) if r)
+                if p.diag_mask is not None else
+                frozenset(i for i, part in enumerate(p.parts)
+                          if not part.is_zero())
+                for p in self.atoms)
+        return self._supports
 
     def atom_index(self, p: AlgebraElement) -> int:
         if self._index is None:
