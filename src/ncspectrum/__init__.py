@@ -21,7 +21,7 @@ from .subalgebra import (CommSubalgebra, FiniteSpace, SpaceMap,
 from .diagram import (DiagramMorphism, Functor, Shape, ShapedDiagram,
                       check_naturality, compose_morphisms, postcompose)
 from .snf import (IntegerRowLattice, SNFResult, integer_determinant,
-                  smith_normal_form, solve_integer)
+                  smith_normal_form)
 from .abgroup import (AbHom, ColimitResult, PresentedAbGroup,
                       cocone_factorization, colimit, colimit_induced,
                       element_eq, kernel)

@@ -325,18 +325,16 @@ def kernel(hom: AbHom):
     """Presentation of the kernel of a homomorphism, with its inclusion.
 
     Kernel generators form an echelon basis of the lattice of words
-    whose images land in the codomain's relation lattice.  That lattice
+    whose images land in the codomain's relation lattice, found by
+    echelonizing the image words beside an identity block together with
+    the codomain's relation basis (preimage_row_lattice).  That lattice
     contains the domain's relation lattice, so the kernel relations are
     just the coordinates of the domain relation basis over the kernel
     basis (a triangular solve, no second normal form needed).
     """
     domain, codomain = hom.domain, hom.codomain
-    r_cod = codomain.lattice.basis_rows()
-    if domain.ngens:
-        # the Smith form takes dense rows
-        klat = preimage_row_lattice(hom.images, r_cod, codomain.ngens)
-    else:
-        klat = IntegerRowLattice(0)
+    klat = preimage_row_lattice(hom.words, codomain.lattice.basis_sparse(),
+                                codomain.ngens)
     gens = klat.basis_sparse()
     rels = []
     for row in domain.lattice.basis_sparse():

@@ -207,8 +207,14 @@ def load_ab_diagram(data) -> ShapedDiagram:
     variance = data.get("variance", COVARIANT)
     node_data = {}
     for nid, node in zip(node_ids, nodes):
-        node_data[nid] = PresentedAbGroup(node["ngens"],
-                                          node.get("relations", []))
+        ngens, relations = node["ngens"], node.get("relations", [])
+        if not _is_int(ngens) or ngens < 0:
+            raise ValidationError(f"diagram node {nid!r}: ngens must be a "
+                                  f"nonnegative integer, got {ngens!r}")
+        if not _is_int_rows(relations):
+            raise ValidationError(f"diagram node {nid!r}: relations must be "
+                                  f"rows of integers, got {relations!r}")
+        node_data[nid] = PresentedAbGroup(ngens, relations)
     edges = []
     edge_data = {}
     for eid, src, dst, images in edge_list:
@@ -234,7 +240,11 @@ def load_space_diagram(data) -> ShapedDiagram:
     variance = data.get("variance", CONTRAVARIANT)
     node_data = {}
     for nid, node in zip(node_ids, nodes):
-        node_data[nid] = FiniteSpace(tuple(str(p) for p in node["points"]))
+        points = node["points"]
+        if not isinstance(points, list):
+            raise ValidationError(f"diagram node {nid!r}: points must be a "
+                                  f"list, got {points!r}")
+        node_data[nid] = FiniteSpace(tuple(str(p) for p in points))
     edges = []
     edge_data = {}
     for eid, src, dst, assignment in edge_list:
@@ -253,21 +263,22 @@ def load_space_diagram(data) -> ShapedDiagram:
 
 
 def load_integer_matrix(data):
-    if not isinstance(data, list) or not data or \
-            not all(isinstance(r, list) for r in data):
-        raise ValidationError("integer matrix JSON must be a list of rows")
-    try:
-        return [[int(x) for x in row] for row in data]
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"non-integer matrix entry: {exc}") from exc
+    if not data or not _is_int_rows(data):
+        raise ValidationError(f"integer matrix JSON must be a nonempty list "
+                              f"of rows of integers, got {data!r}")
+    return data
 
 
 def load_partial_ideal(data):
     """{"algebra": ..., "spec": optional, "choice": {node id: [indices]}}.
 
     Returns (PartialIdeal, diagram)."""
-    if "algebra" not in data or "choice" not in data:
+    if not isinstance(data, dict) or "algebra" not in data \
+            or "choice" not in data:
         raise ValidationError('partial ideal JSON needs "algebra" and "choice"')
+    if not isinstance(data["choice"], dict):
+        raise ValidationError(f"partial ideal choice must map node ids to "
+                              f"atom index lists, got {data['choice']!r}")
     algebra = load_algebra(data["algebra"])
     spec = load_spec(data.get("spec"), algebra)
     diagram = build_subdiagram(algebra, spec)
@@ -276,7 +287,10 @@ def load_partial_ideal(data):
         if nid not in diagram.node_data:
             raise ValidationError(f"unknown node {nid!r} in choice "
                                   f"(known: {sorted(diagram.node_data)})")
-        choice[nid] = frozenset(int(i) for i in indices)
+        if not isinstance(indices, list) or not all(map(_is_int, indices)):
+            raise ValidationError(f"choice at node {nid!r} must be a list of "
+                                  f"atom indices, got {indices!r}")
+        choice[nid] = frozenset(indices)
     for nid in diagram.shape.nodes:
         choice.setdefault(nid, frozenset())
     return PartialIdeal(diagram, choice), diagram

@@ -1,18 +1,20 @@
 """Integer matrix normal forms and lattice arithmetic.
 
-smith_normal_form computes U, D, V with U*M*V = D, U and V unimodular,
-D diagonal with a divisibility chain.  Pivots are chosen by smallest
-nonzero absolute value with row-major tie-breaking, so output is
-deterministic.  Entries are Python ints, so growth is unbounded but
-exact.
+IntegerRowLattice is a mutable sparse row-echelon basis of an integer
+lattice, and every group operation runs on it: membership backs
+equality in finitely presented abelian groups, coordinates expresses a
+vector over the basis, and preimage_row_lattice echelonizes an
+augmented matrix to find the kernel of a homomorphism.
+invariant_factors_of_rows computes Smith invariant factors without
+tracking transforms, using sparse elimination with a fill-reducing
+pivot rule so that the big colimit presentations stay cheap.
 
-IntegerRowLattice is a mutable row-echelon basis of an integer lattice
-supporting fast membership tests; it backs equality in finitely
-presented abelian groups, where relation matrices can be large and
-sparse.  invariant_factors_of_rows computes Smith invariant factors
-without tracking transforms, using sparse elimination with a
-fill-reducing pivot rule so that the big colimit presentations stay
-cheap.
+smith_normal_form computes U, D, V with U*M*V = D, U and V unimodular,
+D diagonal with a divisibility chain; it finishes the non-unit residual
+of invariant_factors_of_rows and backs the snf command.  Pivots are
+chosen by smallest nonzero absolute value with row-major tie-breaking,
+so output is deterministic.  Entries are Python ints, so growth is
+unbounded but exact.
 """
 
 from __future__ import annotations
@@ -37,26 +39,19 @@ def xgcd(a: int, b: int):
     return g, x, y
 
 
-def _matmul(a, b):
-    rows = len(a)
-    inner = len(b)
-    cols = len(b[0]) if inner else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        oi = out[i]
-        for k in range(inner):
-            f = ai[k]
-            if f:
-                bk = b[k]
-                for j in range(cols):
-                    if bk[j]:
-                        oi[j] += f * bk[j]
-    return out
-
-
 def integer_matmul(a, b):
-    return _matmul([list(r) for r in a], [list(r) for r in b])
+    """The product of two integer matrices given as sequences of rows."""
+    cols = len(b[0]) if b else 0
+    out = []
+    for ai in a:
+        oi = [0] * cols
+        for f, bk in zip(ai, b):
+            if f:
+                for j, x in enumerate(bk):
+                    if x:
+                        oi[j] += f * x
+        out.append(oi)
+    return out
 
 
 def integer_determinant(m) -> int:
@@ -97,10 +92,6 @@ class SNFResult:
         rows = len(self.D)
         cols = len(self.D[0]) if rows else 0
         return [self.D[i][i] for i in range(min(rows, cols))]
-
-    @property
-    def rank(self) -> int:
-        return sum(1 for d in self.diagonal if d)
 
 
 def _find_pivot(m, start, rows, cols):
@@ -253,31 +244,6 @@ def smith_normal_form(matrix) -> SNFResult:
     return SNFResult(U=u, D=m, V=v)
 
 
-def solve_integer(matrix, rhs):
-    """An integer solution x of M x = b, or None.
-
-    Via the Smith form: with U M V = D, solve D w = U b and set x = V w.
-    """
-    res = smith_normal_form(matrix)
-    rows = len(res.D)
-    cols = len(res.D[0]) if rows else 0
-    if len(rhs) != rows:
-        raise ValidationError("rhs length does not match the matrix")
-    c = [sum(res.U[i][k] * rhs[k] for k in range(rows)) for i in range(rows)]
-    w = [0] * cols
-    diag = res.diagonal
-    for i in range(rows):
-        d = diag[i] if i < len(diag) else 0
-        if d:
-            q, rem = divmod(c[i], d)
-            if rem:
-                return None
-            w[i] = q
-        elif c[i]:
-            return None
-    return [sum(res.V[i][k] * w[k] for k in range(cols)) for i in range(cols)]
-
-
 class IntegerRowLattice:
     """Row-echelon basis over Z of the lattice spanned by inserted rows.
 
@@ -298,11 +264,37 @@ class IntegerRowLattice:
             return {j: int(c) for j, c in vec.items() if c}
         return {j: int(c) for j, c in enumerate(vec) if c}
 
+    def _reduce(self, v, quotients=None):
+        """Subtract basis rows from the sparse vector v, in place, while
+        the basis row at v's leading column divides v's leading entry.
+
+        Returns the leading column where reduction stops, or None once
+        v is zero; quotients, when given, records each leading column's
+        multiple.
+        """
+        pivots = self.pivots
+        while v:
+            j = min(v)
+            row = pivots.get(j)
+            if row is None:
+                return j
+            q, rem = divmod(v[j], row[j])
+            if rem:
+                return j
+            if quotients is not None:
+                quotients[j] = q
+            for c, x in row.items():
+                nv = v.get(c, 0) - q * x
+                if nv:
+                    v[c] = nv
+                else:
+                    v.pop(c, None)
+        return None
+
     def insert(self, vec):
         """Add a vector to the lattice."""
         v = self._to_sparse(vec)
-        while v:
-            j = min(v)
+        while (j := self._reduce(v)) is not None:
             if j >= self.ambient:
                 raise ValidationError("vector exceeds ambient dimension")
             row = self.pivots.get(j)
@@ -311,88 +303,42 @@ class IntegerRowLattice:
                     v = {c: -x for c, x in v.items()}
                 self.pivots[j] = v
                 return
+            # the pivot does not divide v's leading entry: the pivot row
+            # becomes the gcd combination, v the combination that kills
+            # the leading entry
             a, b = row[j], v[j]
-            if b % a == 0:
-                q = b // a
-                for c, x in row.items():
-                    nv = v.get(c, 0) - q * x
-                    if nv:
-                        v[c] = nv
-                    else:
-                        v.pop(c, None)
-            else:
-                g, x, y = xgcd(a, b)
-                new_row = {}
-                for c in set(row) | set(v):
-                    val = x * row.get(c, 0) + y * v.get(c, 0)
-                    if val:
-                        new_row[c] = val
-                new_v = {}
-                fa, fb = a // g, b // g
-                for c in set(row) | set(v):
-                    val = -fb * row.get(c, 0) + fa * v.get(c, 0)
-                    if val:
-                        new_v[c] = val
-                self.pivots[j] = new_row
-                v = new_v
+            g, x, y = xgcd(a, b)
+            new_row = {}
+            for c in set(row) | set(v):
+                val = x * row.get(c, 0) + y * v.get(c, 0)
+                if val:
+                    new_row[c] = val
+            new_v = {}
+            fa, fb = a // g, b // g
+            for c in set(row) | set(v):
+                val = -fb * row.get(c, 0) + fa * v.get(c, 0)
+                if val:
+                    new_v[c] = val
+            self.pivots[j] = new_row
+            v = new_v
 
     def contains(self, vec) -> bool:
-        v = self._to_sparse(vec)
-        while v:
-            j = min(v)
-            row = self.pivots.get(j)
-            if row is None:
-                return False
-            q, rem = divmod(v[j], row[j])
-            if rem:
-                return False
-            for c, x in row.items():
-                nv = v.get(c, 0) - q * x
-                if nv:
-                    v[c] = nv
-                else:
-                    v.pop(c, None)
-        return True
+        return self._reduce(self._to_sparse(vec)) is None
 
     def coordinates(self, vec):
         """Coefficients expressing a vector over the basis rows (ordered
         by leading column), or None when the vector is outside the
         lattice.  Exact: basis rows are echelon, so this is forward
         substitution."""
-        v = self._to_sparse(vec)
+        quotients = {}
+        if self._reduce(self._to_sparse(vec), quotients) is not None:
+            return None
         order = {j: k for k, j in enumerate(sorted(self.pivots))}
-        coeffs = {}
-        while v:
-            j = min(v)
-            row = self.pivots.get(j)
-            if row is None:
-                return None
-            q, rem = divmod(v[j], row[j])
-            if rem:
-                return None
-            if q:
-                coeffs[order[j]] = q
-            for c, x in row.items():
-                nv = v.get(c, 0) - q * x
-                if nv:
-                    v[c] = nv
-                else:
-                    v.pop(c, None)
-        return coeffs
+        return {order[j]: q for j, q in quotients.items()}
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
-
-    def basis_rows(self):
-        """Dense basis rows, sorted by leading column."""
-        out = []
-        for j in sorted(self.pivots):
-            row = [0] * self.ambient
-            for c, x in self.pivots[j].items():
-                row[c] = x
-            out.append(row)
-        return out
 
     def basis_sparse(self):
         return [dict(self.pivots[j]) for j in sorted(self.pivots)]
@@ -472,28 +418,31 @@ def invariant_factors_of_rows(rows, ngens: int):
     return ngens - rank, torsion
 
 
-def left_null_basis(matrix):
-    """Basis rows of {z : z M = 0} over Z, via the Smith form of M."""
-    res = smith_normal_form(matrix)
-    rank = res.rank
-    return [list(res.U[i]) for i in range(rank, len(res.U))]
-
-
 def preimage_row_lattice(a_rows, r_rows, ncols: int) -> IntegerRowLattice:
     """Echelon basis of {x : x A lies in rowlattice(R)}.
 
-    A has len(a_rows) rows of length ncols; R similarly.  Stack A over R,
-    take the left null lattice, and project onto the A-coordinates.
+    The rows of A and R are sparse dicts or dense rows over ncols
+    columns.  Echelonize the rows (r_j | 0) and (a_i | e_i) of the
+    augmented matrix in ncols + len(a_rows) columns: x A - y R = 0 for
+    some y exactly when (0 | x) lies in their lattice, and the basis
+    rows led by a column >= ncols span that part, so shifted down by
+    ncols they are the answer (Cohen, GTM 138, section 2.4).
     """
     s = len(a_rows)
+    work = IntegerRowLattice(ncols + s)
+    rows = [(None, r) for r in r_rows] + list(enumerate(a_rows, ncols))
+    for tag, row in rows:
+        v = IntegerRowLattice._to_sparse(row)
+        if (not isinstance(row, dict) and len(row) != ncols) or \
+                any(not 0 <= c < ncols for c in v):
+            raise ValidationError(
+                "row length mismatch in preimage computation")
+        if tag is not None:
+            v[tag] = 1
+        work.insert(v)
     lattice = IntegerRowLattice(s)
-    stacked = [list(r) for r in a_rows] + [list(r) for r in r_rows]
-    if s == 0 or not stacked:
-        return lattice
-    if any(len(r) != ncols for r in stacked):
-        raise ValidationError("row length mismatch in preimage computation")
-    for z in left_null_basis(stacked):
-        x = {j: c for j, c in enumerate(z[:s]) if c}
-        if x:
-            lattice.insert(x)
+    for j in sorted(work.pivots):
+        if j >= ncols:
+            lattice.pivots[j - ncols] = {
+                c - ncols: x for c, x in work.pivots[j].items()}
     return lattice

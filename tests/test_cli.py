@@ -121,9 +121,40 @@ class TestInvalidInput:
                   '"source":"a","target":"a"}]}', "'i'"),
         ("limit", '{"nodes":[{"id":"a","points":["x"]}],"edges":[{"id":"i",'
                   '"source":"a","target":"a","assignment":["x"]}]}', "'i'"),
+        ("colimit", '{"nodes":[{"id":"a","ngens":1.7}],"edges":[]}', "ngens"),
+        ("colimit", '{"nodes":[{"id":"a","ngens":true}],"edges":[]}', "ngens"),
+        ("colimit", '{"nodes":[{"id":"a","ngens":-1}],"edges":[]}', "ngens"),
+        ("colimit", '{"nodes":[{"id":"a","ngens":2,"relations":[[1.5,0]]}],'
+                    '"edges":[]}', "relations"),
+        ("colimit", '{"nodes":[{"id":"a","ngens":1,"relations":5}],'
+                    '"edges":[]}', "relations"),
+        ("limit", '{"nodes":[{"id":"a","points":5}],"edges":[]}', "points"),
     ])
     def test_bad_diagram_exit_one(self, command, diagram, named):
         code, text = run_cli(command, "--diagram", diagram)
+        assert code == 1
+        assert text.startswith("error: ")
+        assert named in text
+
+    @pytest.mark.parametrize("matrix", [
+        "[[1.5,2]]", '[["3"]]', "[[true,2]]", "[]", "[[1],2]",
+    ])
+    def test_bad_integer_matrix_exit_one(self, matrix):
+        code, text = run_cli("snf", "--matrix", matrix)
+        assert code == 1
+        assert text.startswith("error: ")
+
+    @pytest.mark.parametrize("payload, named", [
+        ("3", '"choice"'),
+        ('{"algebra":{"blocks":[2]},"choice":[1]}', "choice"),
+        ('{"algebra":{"blocks":[2]},"choice":{"d:0,1":["x"]}}', "'d:0,1'"),
+        ('{"algebra":{"blocks":[2]},"choice":{"d:0,1":5}}', "'d:0,1'"),
+        ('{"algebra":{"blocks":[2]},"choice":{"d:0,1":[true]}}', "'d:0,1'"),
+    ])
+    def test_bad_partial_ideal_file_exit_one(self, payload, named, tmp_path):
+        path = tmp_path / "partial.json"
+        path.write_text(payload)
+        code, text = run_cli("partial-ideal", "check", "--file", str(path))
         assert code == 1
         assert text.startswith("error: ")
         assert named in text

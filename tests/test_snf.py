@@ -1,10 +1,102 @@
 import random
 from fractions import Fraction
 
-from ncspectrum import (IntegerRowLattice, integer_determinant,
-                        smith_normal_form, solve_integer)
+import pytest
+
+from ncspectrum import (IntegerRowLattice, ValidationError,
+                        integer_determinant, smith_normal_form)
 from ncspectrum.snf import (integer_matmul, invariant_factors_of_rows,
                             preimage_row_lattice)
+
+try:
+    from hypothesis import given, settings, strategies as st
+except ImportError:
+    given = None
+
+
+# -- dense oracles built on the Smith form with transforms -------------------
+
+def solve_integer(matrix, rhs):
+    """An integer solution x of M x = b, or None.
+
+    Via the Smith form: with U M V = D, solve D w = U b and set x = V w.
+    """
+    res = smith_normal_form(matrix)
+    rows = len(res.D)
+    cols = len(res.D[0]) if rows else 0
+    assert len(rhs) == rows
+    c = [sum(res.U[i][k] * rhs[k] for k in range(rows)) for i in range(rows)]
+    w = [0] * cols
+    diag = res.diagonal
+    for i in range(rows):
+        d = diag[i] if i < len(diag) else 0
+        if d:
+            q, rem = divmod(c[i], d)
+            if rem:
+                return None
+            w[i] = q
+        elif c[i]:
+            return None
+    return [sum(res.V[i][k] * w[k] for k in range(cols)) for i in range(cols)]
+
+
+def left_null_basis(matrix):
+    """Basis rows of {z : z M = 0} over Z, via the Smith form of M."""
+    res = smith_normal_form(matrix)
+    rank = sum(1 for d in res.diagonal if d)
+    return [list(res.U[i]) for i in range(rank, len(res.U))]
+
+
+def dense_preimage_lattice(a_rows, r_rows, ncols):
+    """{x : x A lies in rowlattice(R)} from dense rows: stack A over R,
+    take the left null lattice of the stack and project it onto the
+    A-coordinates."""
+    s = len(a_rows)
+    lattice = IntegerRowLattice(s)
+    stacked = [list(r) for r in a_rows] + [list(r) for r in r_rows]
+    if s == 0 or not stacked:
+        return lattice
+    assert all(len(r) == ncols for r in stacked)
+    for z in left_null_basis(stacked):
+        x = {j: c for j, c in enumerate(z[:s]) if c}
+        if x:
+            lattice.insert(x)
+    return lattice
+
+
+def hermite_normal_form(rows, ncols):
+    """The Hermite normal form of the lattice spanned by dense rows: an
+    echelon basis with positive pivots and every entry above a pivot
+    reduced into [0, pivot).  Two row sets span the same lattice
+    exactly when their forms agree."""
+    work = [list(r) for r in rows if any(r)]
+    out = []
+    for col in range(ncols):
+        live = [r for r in work if r[col]]
+        while len(live) > 1:
+            # Euclid on the column: reduce every row by the smallest entry
+            p = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not p:
+                    q = r[col] // p[col]
+                    for k in range(ncols):
+                        r[k] -= q * p[k]
+            live = [r for r in live if r[col]]
+        if live:
+            p = live[0]
+            work = [r for r in work if r is not p]
+            if p[col] < 0:
+                p[:] = [-x for x in p]
+            for o in out:
+                q = o[col] // p[col]
+                for k in range(ncols):
+                    o[k] -= q * p[k]
+            out.append(p)
+    return out
+
+
+def sparse_to_dense(words, ncols):
+    return [[w.get(k, 0) for k in range(ncols)] for w in words]
 
 
 def check_snf(matrix):
@@ -24,6 +116,10 @@ def check_snf(matrix):
         else:
             assert diag[i + 1] == 0
     assert all(d >= 0 for d in diag)
+    free, torsion = invariant_factors_of_rows(
+        [dict(enumerate(r)) for r in matrix], cols)
+    assert free == cols - sum(1 for d in diag if d)
+    assert list(torsion) == [d for d in diag if d > 1]
     return res
 
 
@@ -101,6 +197,38 @@ class TestIntegerRowLattice:
             assert lat.contains(v) == expect
 
 
+def draw_matrix(data):
+    """A matrix of 1-5 rows and 1-5 columns with entries in [-9, 9]."""
+    rows = data.draw(st.integers(1, 5))
+    cols = data.draw(st.integers(1, 5))
+    return data.draw(st.lists(
+        st.lists(st.integers(-9, 9), min_size=cols, max_size=cols),
+        min_size=rows, max_size=rows))
+
+
+if given is None:
+    def test_snf_property_suite_needs_hypothesis():
+        pytest.importorskip("hypothesis")
+else:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_snf_properties(data):
+        """U M V = D with unimodular U and V, a divisibility chain on the
+        diagonal, and the same invariant factors as the transform-free
+        sparse elimination."""
+        check_snf(draw_matrix(data))
+
+
+class TestHermiteOracle:
+    def test_canonical_under_row_operations(self):
+        rows = [[2, 4, 4], [-6, 6, 12], [10, -4, -16]]
+        mixed = [[a + 3 * b for a, b in zip(rows[0], rows[1])], rows[1],
+                 [c - a for a, c in zip(rows[0], rows[2])], [0, 0, 0]]
+        assert hermite_normal_form(rows, 3) == hermite_normal_form(mixed, 3)
+        assert hermite_normal_form([[2, 3], [0, 5]], 2) == [[2, 3], [0, 5]]
+        assert hermite_normal_form([[2, 7], [0, 5]], 2) == [[2, 2], [0, 5]]
+
+
 class TestInvariantFactorsOfRows:
     def test_matches_dense_snf(self):
         rng = random.Random(29)
@@ -119,17 +247,44 @@ class TestInvariantFactorsOfRows:
 class TestPreimageLattice:
     def test_kernel_of_doubling(self):
         # x * [2] lies in the lattice generated by [4] iff x is even
-        gens = preimage_row_lattice([[2]], [[4]], 1).basis_rows()
-        assert gens == [[2]]
+        gens = preimage_row_lattice([[2]], [[4]], 1).basis_sparse()
+        assert gens == [{0: 2}]
 
     def test_fold_kernel(self):
-        gens = preimage_row_lattice([[1], [1]], [], 1).basis_rows()
-        assert gens == [[1, -1]]
+        gens = preimage_row_lattice([[1], [1]], [], 1).basis_sparse()
+        assert gens == [{0: 1, 1: -1}]
 
     def test_everything_when_relations_cover(self):
         gens = preimage_row_lattice([[1, 0]], [[1, 0], [0, 1]],
-                                    2).basis_rows()
-        assert gens == [[1]]
+                                    2).basis_sparse()
+        assert gens == [{0: 1}]
+
+    def test_sparse_and_dense_rows_agree(self):
+        dense = preimage_row_lattice([[2, 0], [0, 3]], [[4, 6]], 2)
+        sparse = preimage_row_lattice([{0: 2}, {1: 3}], [{0: 4, 1: 6}], 2)
+        assert dense.basis_sparse() == sparse.basis_sparse() == [{0: 2, 1: 2}]
+
+    @pytest.mark.parametrize("a_rows, r_rows", [
+        ([[1, 0, 0]], []), ([[1, 0]], [[1]]), ([{2: 1}], []),
+        ([{-1: 1}], []), ([[1, 0]], [{0: 1, 5: 2}]),
+    ])
+    def test_rows_must_fit_the_columns(self, a_rows, r_rows):
+        with pytest.raises(ValidationError, match="row length mismatch"):
+            preimage_row_lattice(a_rows, r_rows, 2)
+
+    def test_matches_dense_oracle(self):
+        """Same lattice as the stacked Smith form, in Hermite form."""
+        rng = random.Random(31)
+        for _ in range(200):
+            s, n = rng.randint(0, 4), rng.randint(0, 4)
+            a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(s)]
+            r = [[rng.choice((0, 0, rng.randint(-6, 6))) for _ in range(n)]
+                 for _ in range(rng.randint(0, 3))]
+            got = preimage_row_lattice(a, r, n)
+            want = dense_preimage_lattice(a, r, n)
+            assert hermite_normal_form(
+                sparse_to_dense(got.basis_sparse(), s), s) == \
+                hermite_normal_form(sparse_to_dense(want.basis_sparse(), s), s)
 
 
 def fraction_determinant(m):
