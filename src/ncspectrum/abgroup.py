@@ -2,7 +2,14 @@
 
 A group is (number of generators, integer relation rows); elements are
 integer words over the generators, equal exactly when their difference
-lies in the row lattice of the relations.  Words are held sparsely, as
+lies in the row lattice of the relations.  Every group operation runs
+on one reduced form of that lattice, built on first use: the relations
+that identify two generators are substituted away, each generator
+standing for the smallest one it is identified with, and the remaining
+relations, rewritten that way, form a small residual lattice (the unit
+pivot elimination of Havas, Holt & Rees, "Recognizing badly presented
+Z-modules", LAA 192, 1993).  Nearly every relation of a colimit is such
+an identification.  Words are held sparsely, as
 {generator: coefficient} dicts: relation rows, the generator images of
 a homomorphism and what apply and compose return.  A dense row is
 accepted wherever a word is; AbHom.images is the dense view for JSON
@@ -33,7 +40,7 @@ from dataclasses import dataclass
 
 from .diagram import (COVARIANT, DiagramMorphism, ShapedDiagram,
                       find_naturality_failure, register_identity)
-from .errors import ValidationError
+from .errors import ValidationError, as_int
 from .snf import (IntegerRowLattice, invariant_factors_of_rows,
                   preimage_row_lattice)
 
@@ -45,14 +52,16 @@ def _word(word, ngens: int, what: str = "word") -> dict:
         out = {}
         for k, c in word.items():
             if type(k) is not int or type(c) is not int:
-                k, c = int(k), int(c)
+                k = as_int(k, f"{what} generator")
+                c = as_int(c, f"{what} coefficient")
             if c:
                 if not 0 <= k < ngens:
                     raise ValidationError(
                         f"{what} mentions generator {k} of {ngens}")
                 out[k] = c
         return out
-    word = tuple(map(int, word))
+    word = tuple(c if type(c) is int else as_int(c, f"{what} coefficient")
+                 for c in word)
     if len(word) != ngens:
         raise ValidationError(
             f"{what} length {len(word)} != {ngens} generators")
@@ -72,17 +81,81 @@ def _combine(terms, words) -> dict:
     return out
 
 
+class ReducedLattice:
+    """The relation lattice of a presentation in reduced form.
+
+    rep[g] is the smallest generator that a chain of identifying
+    relations (one entry +1, one entry -1) joins g to; classes counts
+    the distinct representatives.  residual is an echelon basis of the
+    other relations, each rewritten through rep.  The rewrite of a word
+    lies in the residual exactly when the word lies in the relation
+    lattice, because the identifications span the kernel of the rewrite.
+    """
+
+    __slots__ = ("rep", "classes", "residual")
+
+    def __init__(self, ngens: int, rows):
+        parent = list(range(ngens))
+
+        def root(g):
+            while parent[g] != g:
+                parent[g] = g = parent[parent[g]]
+            return g
+
+        others = []
+        for sp in rows:
+            if len(sp) == 2 and sp[0][1] + sp[1][1] == 0 and \
+                    sp[0][1] in (1, -1):
+                a, b = root(sp[0][0]), root(sp[1][0])
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
+            else:
+                others.append(sp)
+        self.rep = [root(g) for g in range(ngens)]
+        self.classes = sum(1 for g, r in enumerate(self.rep) if g == r)
+        self.residual = IntegerRowLattice(ngens)
+        for sp in others:
+            word = self.substitute(sp)
+            if word:
+                self.residual.insert(word)
+
+    def substitute(self, terms) -> dict:
+        """The sparse word of the (generator, coefficient) pairs in
+        terms, each generator replaced by its representative."""
+        rep = self.rep
+        n = len(rep)
+        out = {}
+        for k, c in terms:
+            if not 0 <= k < n:
+                raise ValidationError(f"word mentions generator {k} of {n}")
+            r = rep[k]
+            v = out.get(r, 0) + c
+            if v:
+                out[r] = v
+            else:
+                del out[r]
+        return out
+
+    def contains(self, word) -> bool:
+        """Whether a sparse word lies in the relation lattice."""
+        return self.residual.contains(self.substitute(word.items()))
+
+
 class PresentedAbGroup:
     """An abelian group on ngens generators with integer relation rows.
 
     Relations are stored sparsely; the dense matrix is available through
-    .relations.  The relation lattice and invariant factors are cached.
+    .relations.  The relation lattice is held in its reduced form
+    (ReducedLattice), built on first use; it and the invariant factors
+    are cached.
     """
 
     __slots__ = ("ngens", "rows", "_lattice", "_invariants")
 
     def __init__(self, ngens: int, relations=()):
-        ngens = int(ngens)
+        ngens = as_int(ngens, "generator count")
         if ngens < 0:
             raise ValidationError("generator count must be nonnegative")
         rows = (tuple(sorted(_word(row, ngens, "relation").items()))
@@ -102,20 +175,20 @@ class PresentedAbGroup:
         return [list(self.dense(dict(sp))) for sp in self.rows]
 
     @property
-    def lattice(self) -> IntegerRowLattice:
+    def lattice(self) -> ReducedLattice:
+        """The relation lattice: its contains(word) tells whether a
+        sparse word of this group is zero."""
         if self._lattice is None:
-            lat = IntegerRowLattice(self.ngens)
-            for sp in self.rows:
-                lat.insert(dict(sp))
-            self._lattice = lat
+            self._lattice = ReducedLattice(self.ngens, self.rows)
         return self._lattice
 
     def invariant_factors(self):
         """(free_rank, torsion divisors) computed from the Smith form of
-        the relation lattice basis."""
+        the residual basis over the identification classes."""
         if self._invariants is None:
-            basis = self.lattice.basis_sparse()
-            free, torsion = invariant_factors_of_rows(basis, self.ngens)
+            lat = self.lattice
+            free, torsion = invariant_factors_of_rows(
+                lat.residual.basis_sparse(), lat.classes)
             self._invariants = (free, tuple(torsion))
         return self._invariants
 
@@ -324,21 +397,24 @@ def colimit_induced(morphism: DiagramMorphism, src_diagram: ShapedDiagram,
 def kernel(hom: AbHom):
     """Presentation of the kernel of a homomorphism, with its inclusion.
 
-    Kernel generators form an echelon basis of the lattice of words
-    whose images land in the codomain's relation lattice, found by
-    echelonizing the image words beside an identity block together with
-    the codomain's relation basis (preimage_row_lattice).  That lattice
-    contains the domain's relation lattice, so the kernel relations are
-    just the coordinates of the domain relation basis over the kernel
-    basis (a triangular solve, no second normal form needed).
+    Kernel generators form an echelon basis of the lattice of words x
+    whose images xA land in the codomain's relation lattice L.  That
+    holds exactly when the rewrite of xA onto the codomain's
+    representatives lies in its residual lattice, so the basis is found
+    by echelonizing the rewritten image words beside an identity block
+    together with the residual basis (preimage_row_lattice).  The
+    kernel lattice contains the domain's relation lattice, so the kernel
+    relations are just the coordinates of the domain relations over the
+    kernel basis (a triangular solve, no second normal form needed).
     """
     domain, codomain = hom.domain, hom.codomain
-    klat = preimage_row_lattice(hom.words, codomain.lattice.basis_sparse(),
-                                codomain.ngens)
+    lat = codomain.lattice
+    klat = preimage_row_lattice([lat.substitute(w.items()) for w in hom.words],
+                                lat.residual.basis_sparse(), codomain.ngens)
     gens = klat.basis_sparse()
     rels = []
-    for row in domain.lattice.basis_sparse():
-        coords = klat.coordinates(row)
+    for row in domain.rows:
+        coords = klat.coordinates(dict(row))
         if coords is None:
             raise ValidationError(
                 "internal error: a domain relation escapes the kernel lattice")

@@ -28,7 +28,7 @@ pure.
 
 from __future__ import annotations
 
-from .errors import ValidationError
+from .errors import ValidationError, as_int
 from .exact import ExactMatrix, GaussianRational, GR_ONE, GR_ZERO
 
 _UNSET = object()  # diag_mask not yet computed
@@ -40,7 +40,7 @@ class MultiMatrixAlgebra:
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        blocks = tuple(int(b) for b in blocks)
+        blocks = tuple(as_int(b, "block size") for b in blocks)
         if not blocks or any(b < 1 for b in blocks):
             raise ValidationError(f"invalid block sizes {blocks!r}")
         self.blocks = blocks
@@ -310,7 +310,8 @@ class StarHom:
 
     def __init__(self, domain, codomain, multiplicity, unital,
                  assignment=None):
-        multiplicity = tuple(tuple(int(x) for x in row) for row in multiplicity)
+        multiplicity = tuple(tuple(as_int(x, "multiplicity") for x in row)
+                             for row in multiplicity)
         if len(multiplicity) != codomain.nblocks or any(
                 len(row) != domain.nblocks for row in multiplicity):
             raise ValidationError("multiplicity must be k_cod x k_dom")

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types and the integer check shared across the package."""
 
 
 class ValidationError(ValueError):
@@ -25,3 +25,16 @@ class SubdiagramInsufficientError(VerificationError):
     identifications.  Callers must surface this rather than accept a
     partial answer.
     """
+
+
+def is_int(value) -> bool:
+    """Whether value is an integer; a bool does not count as one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def as_int(value, what: str) -> int:
+    """value as a plain int; a ValidationError when it is a bool or not
+    an integer, so that no input is silently truncated."""
+    if not is_int(value):
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    return int(value)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .algebra import MultiMatrixAlgebra
 from .diagram import ShapedDiagram, postcompose
-from .errors import ValidationError
+from .errors import ValidationError, as_int
 from .lattices import MeetSemilattice, compatible_masks, limit_semilattice
 from .subalgebra import CommSubalgebra, SpectrumFunctor
 from .ktheory import SubdiagramSpec, build_subdiagram
@@ -37,7 +37,7 @@ class TotalIdeal:
     __slots__ = ("algebra", "blocks")
 
     def __init__(self, algebra: MultiMatrixAlgebra, blocks):
-        blocks = frozenset(int(b) for b in blocks)
+        blocks = frozenset(as_int(b, "ideal block index") for b in blocks)
         if any(b < 0 or b >= algebra.nblocks for b in blocks):
             raise ValidationError("ideal block index out of range")
         self.algebra = algebra
@@ -104,7 +104,7 @@ class PartialIdeal:
         nodes = set(self.diagram.shape.nodes)
         if set(self.choice) != nodes:
             raise ValidationError("choice must cover every node")
-        self.choice = {n: frozenset(int(i) for i in s)
+        self.choice = {n: frozenset(as_int(i, "atom index") for i in s)
                        for n, s in self.choice.items()}
         for n, s in self.choice.items():
             count = self.diagram.node_data[n].natoms

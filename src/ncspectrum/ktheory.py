@@ -124,8 +124,11 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
     Nodes: the spec's base partition subalgebras (coarsest, listed
     partitions, finest) and their rotated copies.  Edges: covering
     refinement inclusions among the base nodes (mirrored into each
-    rotated sheet) and a rotation edge per rotation at every base node.
-    Node and edge order is deterministic.
+    rotated sheet) and a rotation edge per rotation at every base node,
+    except a loop with the identity map, which gives no relation.  A
+    rotation that moves the finest atoms as an earlier one does gets no
+    nodes or edges of its own; its meta["rotation_edges"] entries name
+    the earlier rotation's edges.  Node and edge order is deterministic.
     """
     if spec is None:
         spec = SubdiagramSpec.default(algebra)
@@ -151,20 +154,26 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
         parts_by_id[nid] = parts
     fine_id = "d:" + partition_label(finest)
 
-    # a rotation that moves no finest atom is dropped
-    kept, fine_images = [], []
+    # a rotation that moves no finest atom is dropped; one that moves them
+    # as an earlier one does moves every base atom (a sum of finest atoms)
+    # so too, and shares that rotation's nodes and edges
+    kept, fine_images, first = [], [], []
+    first_by_images = {}
     fine_atoms = node_data[fine_id].atoms
     for alpha in spec.rotations:
         if alpha.algebra != algebra:
             raise ValidationError("rotation lives in a different algebra")
         images = tuple(alpha.conjugate(p) for p in fine_atoms)
         if images != fine_atoms:
+            first.append(first_by_images.setdefault(images, len(kept)))
             kept.append(alpha)
             fine_images.append(images)
+    generating = [r for r, f in enumerate(first) if f == r]
 
     # rotated copies; placement maps raw conjugate order to node atom order
     placements = {}
-    for r, alpha in enumerate(kept):
+    for r in generating:
+        alpha = kept[r]
         for bid in base_ids:
             u = node_data[bid]
             raw = fine_images[r] if bid == fine_id else tuple(
@@ -209,7 +218,7 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
         add_inclusion(sid, tid)
 
     # mirrored inclusion edges inside each rotated sheet
-    for r, _alpha in enumerate(kept):
+    for r in generating:
         for (sid, tid) in cover_list:
             s2, ps, _ = placements[(r, sid)]
             t2, pt, _ = placements[(r, tid)]
@@ -226,11 +235,19 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
                              assignment)
             add_inclusion(s2, t2, spectrum_cache=cache)
 
-    # rotation edges
+    # rotation edges; a loop with the identity placement gives only zero
+    # relations and is left out
     rotation_edges = {}
     for r, alpha in enumerate(kept):
         for bid in base_ids:
+            if first[r] != r:
+                eid = rotation_edges.get((first[r], bid))
+                if eid is not None:
+                    rotation_edges[(r, bid)] = eid
+                continue
             tid, placement, raw = placements[(r, bid)]
+            if tid == bid and raw == node_data[bid].atoms:
+                continue
             eid = f"t{r}:{bid}"
             assignment = {f"p{placement[i]}": f"p{i}"
                           for i in range(len(placement))}

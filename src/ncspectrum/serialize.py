@@ -14,7 +14,7 @@ from .abgroup import AbHom, PresentedAbGroup
 from .algebra import (AlgebraElement, InnerAutomorphism, MultiMatrixAlgebra,
                       StarHom)
 from .diagram import CONTRAVARIANT, COVARIANT, Shape, ShapedDiagram
-from .errors import ValidationError
+from .errors import ValidationError, is_int
 from .exact import ExactMatrix
 from .ktheory import SubdiagramSpec, build_subdiagram
 from .ideals import PartialIdeal
@@ -38,15 +38,11 @@ def load_json_argument(text_or_path: str):
             raise ValidationError(f"{text_or_path}: invalid JSON: {exc}") from exc
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_algebra(data) -> MultiMatrixAlgebra:
     if not isinstance(data, dict) or "blocks" not in data:
         raise ValidationError('algebra JSON must look like {"blocks": [2, 3]}')
     blocks = data["blocks"]
-    if not isinstance(blocks, list) or not all(_is_int(b) for b in blocks):
+    if not isinstance(blocks, list) or not all(is_int(b) for b in blocks):
         raise ValidationError(f"algebra blocks must be a list of positive "
                               f"integers, got {blocks!r}")
     return MultiMatrixAlgebra(blocks)
@@ -81,7 +77,7 @@ def _is_int_rows(value, width=None) -> bool:
     """Whether value is a list of lists of integers (no bools), each of
     length width when one is given."""
     return isinstance(value, list) and all(
-        isinstance(row, list) and all(_is_int(x) for x in row)
+        isinstance(row, list) and all(is_int(x) for x in row)
         and (width is None or len(row) == width) for row in value)
 
 
@@ -155,7 +151,7 @@ def load_spec(data, algebra: MultiMatrixAlgebra) -> SubdiagramSpec:
     partitions = data.get("partitions", [])
     if not isinstance(partitions, list) or not all(
             isinstance(parts, list) and all(
-                isinstance(part, list) and all(_is_int(c) for c in part)
+                isinstance(part, list) and all(is_int(c) for c in part)
                 for part in parts)
             for parts in partitions):
         raise ValidationError("spec partitions must be a list of partitions, "
@@ -208,7 +204,7 @@ def load_ab_diagram(data) -> ShapedDiagram:
     node_data = {}
     for nid, node in zip(node_ids, nodes):
         ngens, relations = node["ngens"], node.get("relations", [])
-        if not _is_int(ngens) or ngens < 0:
+        if not is_int(ngens) or ngens < 0:
             raise ValidationError(f"diagram node {nid!r}: ngens must be a "
                                   f"nonnegative integer, got {ngens!r}")
         if not _is_int_rows(relations):
@@ -287,7 +283,7 @@ def load_partial_ideal(data):
         if nid not in diagram.node_data:
             raise ValidationError(f"unknown node {nid!r} in choice "
                                   f"(known: {sorted(diagram.node_data)})")
-        if not isinstance(indices, list) or not all(map(_is_int, indices)):
+        if not isinstance(indices, list) or not all(map(is_int, indices)):
             raise ValidationError(f"choice at node {nid!r} must be a list of "
                                   f"atom indices, got {indices!r}")
         choice[nid] = frozenset(indices)

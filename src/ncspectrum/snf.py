@@ -1,10 +1,11 @@
 """Integer matrix normal forms and lattice arithmetic.
 
 IntegerRowLattice is a mutable sparse row-echelon basis of an integer
-lattice, and every group operation runs on it: membership backs
-equality in finitely presented abelian groups, coordinates expresses a
-vector over the basis, and preimage_row_lattice echelonizes an
-augmented matrix to find the kernel of a homomorphism.
+lattice, and every group operation runs on it (on the residual of a
+group's reduced form, see abgroup): membership backs equality in
+finitely presented abelian groups, coordinates expresses a vector over
+the basis, and preimage_row_lattice echelonizes an augmented matrix to
+find the kernel of a homomorphism.
 invariant_factors_of_rows computes Smith invariant factors without
 tracking transforms, using sparse elimination with a fill-reducing
 pivot rule so that the big colimit presentations stay cheap.

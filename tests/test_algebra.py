@@ -16,6 +16,18 @@ def gr(re, im=0):
     return GaussianRational(re, im)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: MultiMatrixAlgebra([2.5]),
+    lambda: MultiMatrixAlgebra([True]),
+    lambda: StarHom(MultiMatrixAlgebra([1]), M2, [[2.7]], unital=True),
+    lambda: StarHom(MultiMatrixAlgebra([1]), M2, [[2.0]], unital=True),
+], ids=["float block", "bool block", "float multiplicity",
+        "integral float multiplicity"])
+def test_non_integer_sizes_are_rejected(build):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        build()
+
+
 class TestApplyHom:
     def test_identity(self):
         phi = StarHom.identity(M2)

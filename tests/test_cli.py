@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -343,6 +347,24 @@ class TestDeterminism:
         code2, text2 = run_cli(*argv)
         assert code1 == code2
         assert text1 == text2
+
+
+@pytest.mark.parametrize("seed", ["7"])
+def test_random_homs_are_byte_identical_across_processes(seed):
+    """Two processes with different string hash seeds print the same
+    bytes for the same --seed."""
+    argv = [sys.executable, "-m", "ncspectrum", "--seed", seed, "verify",
+            "theorem1", "--algebra", '{"blocks":[1,2]}', "--random-homs", "3"]
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        env.pop("NC_SPECTRUM_SEED", None)
+        runs.append(subprocess.run(argv, env=env, capture_output=True,
+                                   timeout=60))
+    assert runs[0].returncode == runs[1].returncode == 0, runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert f"3 homs, seed {seed}): PASS".encode() in runs[0].stdout
 
 
 _Z = "0"

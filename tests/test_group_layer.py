@@ -2,8 +2,9 @@
 
 DenseAbHom below is the homomorphism the sparse AbHom replaced: generator
 images held as dense rows of length codomain.ngens, every entry coerced,
-and the colimit, colimit_induced and kernel built from those rows.  It
-is the oracle.  The sparse path must agree with it on images, on the
+and the colimit, colimit_induced and kernel built from those rows, with
+equality decided in the full echelon lattice of the relations
+(tests/test_reduced_form.py).  It is the oracle.  The sparse path must agree with it on images, on the
 certification verdict (an ill-defined hom is planted whenever the draw
 allows one), on apply, compose, equal_as_maps, colimit and
 colimit_induced.  The kernel oracle is the dense route the sparse one
@@ -38,6 +39,7 @@ from ncspectrum import (AbHom, PresentedAbGroup, Shape, ShapedDiagram,
 from ncspectrum.diagram import FORWARD, DiagramMorphism
 from ncspectrum.snf import IntegerRowLattice
 
+from test_reduced_form import full_echelon
 from test_snf import (dense_preimage_lattice, hermite_normal_form,
                       sparse_to_dense)
 from test_structured_atoms import DrawPick, RngPick
@@ -59,7 +61,7 @@ def _sparse_of(row):
 
 
 def dense_eq(g, x, y):
-    return g.lattice.contains(
+    return full_echelon(g).contains(
         {j: a - b for j, (a, b) in enumerate(zip(x, y)) if a != b})
 
 
@@ -86,7 +88,7 @@ class DenseAbHom:
                             image[k] = v
                         else:
                             image.pop(k, None)
-            if not codomain.lattice.contains(image):
+            if not full_echelon(codomain).contains(image):
                 raise ValidationError("hom is not well-defined")
 
     def apply(self, word):
@@ -494,9 +496,34 @@ def test_words_drop_zero_coefficients():
     assert PresentedAbGroup(2, [{1: 0}, [0, 0], {0: 2}]).rows == (((0, 2),),)
 
 
-def test_word_entries_are_coerced_to_integers():
-    z2 = PresentedAbGroup.free(2)
-    h = AbHom(z2, z2, [{"1": -2}, {0: True, "1": "0"}])
+@pytest.mark.parametrize("build", [
+    lambda: PresentedAbGroup(1.9, [[2]]),
+    lambda: PresentedAbGroup(True, [[2]]),
+    lambda: PresentedAbGroup(1, [[2.5]]),
+    lambda: PresentedAbGroup(2, [{0: 1.5}]),
+    lambda: PresentedAbGroup(2, [{0.0: 1}]),
+    lambda: PresentedAbGroup(2, [[0, True]]),
+    lambda: AbHom(PresentedAbGroup.free(1), PresentedAbGroup.free(1), [[1.5]]),
+    lambda: AbHom(PresentedAbGroup.free(1), PresentedAbGroup.free(1), [[True]]),
+    lambda: AbHom(PresentedAbGroup.free(2), PresentedAbGroup.free(2),
+                  [{"1": -2}, {0: 1}]),
+    lambda: AbHom(PresentedAbGroup.free(2), PresentedAbGroup.free(2),
+                  [{1: -2}, {0: True}]),
+], ids=["float ngens", "bool ngens", "dense float", "sparse float",
+        "float generator", "dense bool", "image float", "image bool",
+        "string generator", "sparse bool"])
+def test_non_integer_entries_are_rejected(build):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        build()
+
+
+def test_int_subclass_entries_become_plain_ints():
+    class Count(int):
+        pass
+
+    z2 = PresentedAbGroup.free(Count(2))
+    h = AbHom(z2, z2, [{Count(1): Count(-2)}, [Count(1), 0]])
     assert h.words == ({1: -2}, {0: 1})
     assert all(type(k) is int and type(c) is int
                for word in h.words for k, c in word.items())
+    assert type(z2.ngens) is int

@@ -12,6 +12,19 @@ M2 = MultiMatrixAlgebra([2])
 M23 = MultiMatrixAlgebra([2, 3])
 
 
+def test_non_integer_indices_are_rejected():
+    with pytest.raises(ValidationError, match="must be an integer"):
+        TotalIdeal(M23, [0.9])
+    with pytest.raises(ValidationError, match="must be an integer"):
+        TotalIdeal(M23, [True])
+    dia = build_subdiagram(M2)
+    choice = {n: frozenset() for n in dia.shape.nodes}
+    for bad in (1.7, True):
+        choice[dia.meta["fine"]] = [bad]
+        with pytest.raises(ValidationError, match="must be an integer"):
+            PartialIdeal(dia, dict(choice))
+
+
 class TestRestrictTotal:
     def test_zero_ideal(self):
         dia = build_subdiagram(M23)

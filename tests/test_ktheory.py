@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from ncspectrum import (K_of_map, K_of_space, MultiMatrixAlgebra,
+from ncspectrum import (ExactMatrix, GaussianRational, InnerAutomorphism,
+                        K_of_map, K_of_space, MultiMatrixAlgebra,
                         StarHom, SubdiagramSpec, ValidationError,
                         build_subdiagram, diagonal_projection, element_eq,
                         eta, k0_standard, k0_standard_hom, k_tilde_f,
-                        k_tilde_f_nonunital, sample_unital_hom,
-                        transposition_unitary, verify_naturality_square,
-                        verify_theorem1)
+                        k_tilde_f_nonunital, pythagorean_unitary,
+                        sample_unital_hom, transposition_unitary,
+                        verify_naturality_square, verify_theorem1)
 from ncspectrum.subalgebra import FiniteSpace, SpaceMap
 
 M2 = MultiMatrixAlgebra([2])
@@ -75,7 +76,37 @@ class TestBuildSubdiagram:
         dia = build_subdiagram(MultiMatrixAlgebra([6]))
         assert dia.meta["base_ids"] == ("d:0,1,2,3,4,5", "d:0|1|2|3|4|5")
         assert len(dia.shape.nodes) == 3
-        assert len(dia.shape.edges) == 14
+        assert len(dia.shape.edges) == 8
+
+    def test_loops_with_the_identity_placement_are_left_out(self):
+        # the swap fixes the coarsest node atom by atom, so it only adds
+        # a rotation edge at the finest node
+        spec = SubdiagramSpec(rotations=(transposition_unitary(M2, 0, 0, 1),),
+                              label="swap-only")
+        dia = build_subdiagram(M2, spec)
+        assert [e.id for e in dia.shape.edges] == ["i:d:0,1=>d:0|1",
+                                                   "t0:d:0|1"]
+        assert dia.meta["rotation_edges"] == {(0, "d:0|1"): "t0:d:0|1"}
+
+    def test_rotation_moving_atoms_as_an_earlier_one_shares_its_edges(self):
+        from ncspectrum.ktheory import _induced_k0_map
+
+        pyth = pythagorean_unitary(M2, 0)
+        phase = M2.element([ExactMatrix.diagonal([GaussianRational(0, 1), 1])])
+        twin = InnerAutomorphism(pyth.u * phase, name="twin")
+        assert twin != pyth
+        spec = SubdiagramSpec(rotations=(pyth, twin), label="twins")
+        dia = build_subdiagram(M2, spec)
+        assert dia.meta["rotations"] == (pyth, twin)
+        assert not any(n.startswith("r1:") for n in dia.shape.nodes)
+        assert not any(e.id.startswith("t1:") for e in dia.shape.edges)
+        # the coarsest node's loop is left out for both
+        assert dia.meta["rotation_edges"] == {(0, "d:0|1"): "t0:d:0|1",
+                                              (1, "d:0|1"): "t0:d:0|1"}
+        # a rotation edge whose image is the twin maps to the shared edge
+        src = build_subdiagram(M2, SubdiagramSpec(rotations=(twin,)))
+        _, colim, induced = _induced_k0_map(StarHom.identity(M2), src, dia)
+        assert induced.codomain == colim.group
 
     def test_listed_partitions_add_covering_inclusions(self):
         m3 = MultiMatrixAlgebra([3])
