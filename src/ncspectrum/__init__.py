@@ -15,11 +15,10 @@ from .algebra import (AlgebraElement, InnerAutomorphism, MultiMatrixAlgebra,
                       unitalize)
 from .subalgebra import (CommSubalgebra, FiniteSpace, SpaceMap,
                          SpectrumFunctor, SubalgebraArrow,
-                         partition_subalgebra, rotate_subalgebra,
-                         span_subalgebra, spectrum, spectrum_of_inclusion,
-                         trivial_subalgebra)
+                         partition_subalgebra, span_subalgebra, spectrum,
+                         spectrum_of_inclusion)
 from .diagram import (DiagramMorphism, Functor, Shape, ShapedDiagram,
-                      check_naturality, compose_morphisms, postcompose)
+                      compose_morphisms, postcompose)
 from .snf import (IntegerRowLattice, SNFResult, integer_determinant,
                   smith_normal_form)
 from .abgroup import (AbHom, ColimitResult, PresentedAbGroup,

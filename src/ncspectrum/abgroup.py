@@ -203,10 +203,6 @@ class PresentedAbGroup:
         parts.extend(f"Z/{d}" for d in torsion)
         return " ⊕ ".join(parts) if parts else "0"
 
-    def is_trivial(self) -> bool:
-        free, torsion = self.invariant_factors()
-        return free == 0 and not torsion
-
     def word(self, word) -> dict:
         """A word, sparse or dense, as {generator: coefficient}."""
         return _word(word, self.ngens)
@@ -256,6 +252,15 @@ class AbHom:
         self.words = words
         self._certify()
 
+    @classmethod
+    def _trusted(cls, domain, codomain, words) -> "AbHom":
+        """A hom of words the library built (nonzero int coefficients on
+        codomain generators), taken as given but still certified."""
+        hom = object.__new__(cls)
+        hom.domain, hom.codomain, hom.words = domain, codomain, tuple(words)
+        hom._certify()
+        return hom
+
     def _certify(self):
         if not self.domain.rows:
             return
@@ -287,8 +292,9 @@ class AbHom:
         """self after other."""
         if other.codomain != self.domain:
             raise ValidationError("homs do not chain")
-        return AbHom(other.domain, self.codomain,
-                     [_combine(w.items(), self.words) for w in other.words])
+        return AbHom._trusted(other.domain, self.codomain,
+                              [_combine(w.items(), self.words)
+                               for w in other.words])
 
     def equal_as_maps(self, other: "AbHom") -> bool:
         """Agreement on every generator, modulo codomain relations."""
@@ -364,7 +370,8 @@ def colimit(diagram: ShapedDiagram) -> ColimitResult:
     for n in nodes:
         g = diagram.node_data[n]
         off = offsets[n]
-        injections[n] = AbHom(g, group, [{off + i: 1} for i in range(g.ngens)])
+        injections[n] = AbHom._trusted(
+            g, group, [{off + i: 1} for i in range(g.ngens)])
     return ColimitResult(group=group, injections=injections, offsets=offsets)
 
 
@@ -388,10 +395,14 @@ def colimit_induced(morphism: DiagramMorphism, src_diagram: ShapedDiagram,
         dst_colimit = colimit(dst_diagram)
     words = []
     for n in src_diagram.shape.nodes:
-        off = dst_colimit.offsets[morphism.node_map[n]]
+        target = morphism.node_map[n]
+        component = morphism.components[n]
+        if component.codomain != dst_diagram.node_data[target]:
+            raise ValidationError(f"component at {n} misses node {target}")
+        off = dst_colimit.offsets[target]
         words.extend({off + k: c for k, c in w.items()}
-                     for w in morphism.components[n].words)
-    return AbHom(src_colimit.group, dst_colimit.group, words)
+                     for w in component.words)
+    return AbHom._trusted(src_colimit.group, dst_colimit.group, words)
 
 
 def kernel(hom: AbHom):
@@ -420,7 +431,7 @@ def kernel(hom: AbHom):
                 "internal error: a domain relation escapes the kernel lattice")
         rels.append(coords)
     group = PresentedAbGroup(len(gens), rels)
-    inclusion = AbHom(group, domain, gens)
+    inclusion = AbHom._trusted(group, domain, gens)
     return group, inclusion
 
 

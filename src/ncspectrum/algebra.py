@@ -5,8 +5,9 @@ one exact matrix per block.  Unital *-homomorphisms are described by a
 Bratteli multiplicity matrix together with an explicit coordinate
 assignment, so that applying a homomorphism is deterministic.
 
-Most values of the diagram route have more structure than a dense
-matrix, and are held in that structure:
+Block matrices are sparse (see exact), and every function here writes
+their nonzero entries directly.  Two kinds of value have more structure
+still, and are held in it:
 
 - a diagonal 0/1 projection, such as every atom of a diagonal partition
   subalgebra, is held as its set of global diagonal coordinates (mask
@@ -15,21 +16,19 @@ matrix, and are held in that structure:
 - a rotation that permutes the diagonal coordinates, such as a
   transposition or the image of one under a unital hom, is held as
   that coordinate permutation (InnerAutomorphism.permutation), and
-  conjugates a diagonal projection by permuting its coordinate set;
-- a rotation given by a dense unitary leaves alone every diagonal
-  projection that contains all of its support (the coordinates it
-  mixes) or none of it, so dense exact matrices are built only for the
-  atoms it really rotates.
+  conjugates a diagonal projection by permuting its coordinate set.
 
-Both forms of an element compare and hash alike, and the dense
-arithmetic stays as the general path.  Everything is immutable and
-pure.
+Any other rotation, such as the Pythagorean (Givens) one or a unitary
+given in a spec, is held by its unitary; it leaves alone every diagonal
+projection that contains all of its support (the coordinates it mixes)
+or none of it, and conjugates the rest by sparse products.  Both forms
+of an element compare and hash alike.  Everything is immutable and pure.
 """
 
 from __future__ import annotations
 
 from .errors import ValidationError, as_int
-from .exact import ExactMatrix, GaussianRational, GR_ONE, GR_ZERO
+from .exact import ExactMatrix, GaussianRational, GR_ONE
 
 _UNSET = object()  # diag_mask not yet computed
 
@@ -129,11 +128,9 @@ class AlgebraElement:
             parts = []
             offset = 0
             for n in self.algebra.blocks:
-                entries = [GR_ZERO] * (n * n)
-                for i in range(n):
-                    if offset + i in self._mask:
-                        entries[i * n + i] = GR_ONE
-                parts.append(ExactMatrix(n, n, entries))
+                parts.append(ExactMatrix._from_sparse(n, n, (
+                    {i: GR_ONE} if offset + i in self._mask else {}
+                    for i in range(n))))
                 offset += n
             self._parts = tuple(parts)
         return self._parts
@@ -203,7 +200,7 @@ class AlgebraElement:
         mask = self._known_mask()
         if mask is not None:
             return len(mask) == self.algebra.coord_count
-        return all(p.classify().unitary for p in self.parts)
+        return all(p.is_unitary() for p in self.parts)
 
     def rank_vector(self):
         """Per-block ranks; classifies projections up to unitary equivalence."""
@@ -267,10 +264,13 @@ def _keep_lines(parts, mask, rows):
     offset = 0
     for part in parts:
         n = part.rows
-        keep = [offset + i in mask for i in range(n)]
-        out.append(ExactMatrix(n, n, [
-            e if keep[k // n if rows else k % n] else GR_ZERO
-            for k, e in enumerate(part.entries)]))
+        if rows:
+            kept = (row if offset + i in mask else {}
+                    for i, row in enumerate(part.sparse))
+        else:
+            kept = ({j: e for j, e in row.items() if offset + j in mask}
+                    for row in part.sparse)
+        out.append(ExactMatrix._from_sparse(n, n, kept))
         offset += n
     return out
 
@@ -385,21 +385,16 @@ class StarHom:
         return self._place(a)
 
     def _place(self, a: AlgebraElement) -> AlgebraElement:
-        """The dense placement of apply, for any element of the domain."""
+        """The block placement of apply, for any element of the domain."""
         parts = []
         for i, m in enumerate(self.codomain.blocks):
-            rows = [[GR_ZERO] * m for _ in range(m)]
-            offset = 0
+            rows = []
             for (j, _copy) in self.assignment[i]:
-                n = self.domain.blocks[j]
-                block = a.parts[j]
-                for r in range(n):
-                    for c in range(n):
-                        e = block.entry(r, c)
-                        if not e.is_zero():
-                            rows[offset + r][offset + c] = e
-                offset += n
-            parts.append(ExactMatrix.from_rows(rows))
+                offset = len(rows)
+                rows.extend({offset + c: e for c, e in row.items()}
+                            for row in a.parts[j].sparse)
+            rows.extend({} for _ in range(m - len(rows)))
+            parts.append(ExactMatrix._from_sparse(m, m, rows))
         return AlgebraElement(self.codomain, parts)
 
     def apply_rotation(self, alpha: "InnerAutomorphism") -> "InnerAutomorphism":
@@ -408,8 +403,8 @@ class StarHom:
 
         The image of a permutation rotation is the permutation rotation
         read off the coordinate map: copy k of coordinate c goes to copy
-        k of coordinate perm[c].  A dense rotation's image is placed
-        densely and checked unitary.  Images are cached, so each one is
+        k of coordinate perm[c].  Any other rotation's image is placed
+        blockwise and checked unitary.  Images are cached, so each one is
         built and checked once per hom.
         """
         key = (alpha, alpha.name)
@@ -506,10 +501,10 @@ class InnerAutomorphism:
     A rotation built by permutation() holds coord_perm, the permutation
     of the global diagonal coordinates that u induces, and builds u only
     when it is read; it conjugates a diagonal projection by permuting
-    its coordinates.  A rotation given by a dense u is checked unitary
-    and has coord_perm None; it returns a diagonal projection unchanged
-    when the projection's mask contains all of u's support or none of
-    it (see support), and conjugates densely otherwise.
+    its coordinates.  A rotation given by its u is checked unitary and
+    has coord_perm None; it returns a diagonal projection unchanged when
+    the projection's mask contains all of u's support or none of it
+    (see support), and conjugates by sparse products otherwise.
     """
 
     __slots__ = ("algebra", "_u", "_u_adjoint", "name", "coord_perm",
@@ -561,10 +556,10 @@ class InnerAutomorphism:
             parts = []
             offset = 0
             for m in self.algebra.blocks:
-                entries = [GR_ZERO] * (m * m)
+                rows = [None] * m
                 for c in range(m):
-                    entries[(self.coord_perm[offset + c] - offset) * m + c] = GR_ONE
-                parts.append(ExactMatrix(m, m, entries))
+                    rows[self.coord_perm[offset + c] - offset] = {c: GR_ONE}
+                parts.append(ExactMatrix._from_sparse(m, m, rows))
                 offset += m
             self._u = AlgebraElement(self.algebra, parts)
         return self._u
@@ -589,12 +584,11 @@ class InnerAutomorphism:
                 support = set()
                 offset = 0
                 for part in self.u.parts:
-                    n = part.rows
-                    for r in range(n):
-                        for c in range(n):
-                            if r != c and not part.entries[r * n + c].is_zero():
+                    for r, row in enumerate(part.sparse):
+                        for c in row:
+                            if r != c:
                                 support.update((offset + r, offset + c))
-                    offset += n
+                    offset += part.rows
             self._support = frozenset(support)
         return self._support
 
@@ -660,17 +654,10 @@ def pythagorean_unitary(algebra: MultiMatrixAlgebra, block: int) -> InnerAutomor
     n = algebra.blocks[block]
     if n < 2:
         raise ValidationError("Pythagorean rotation needs a block of size >= 2")
-    parts = []
-    for b, m in enumerate(algebra.blocks):
-        if b != block:
-            parts.append(ExactMatrix.identity(m))
-            continue
-        rows = [[GR_ONE if r == c else GR_ZERO for c in range(m)] for r in range(m)]
-        rows[0][0] = GaussianRational("3/5")
-        rows[0][1] = GaussianRational("4/5")
-        rows[1][0] = GaussianRational("-4/5")
-        rows[1][1] = GaussianRational("3/5")
-        parts.append(ExactMatrix.from_rows(rows))
+    c, s = GaussianRational("3/5"), GaussianRational("4/5")
+    parts = [ExactMatrix.identity(m) for m in algebra.blocks]
+    rows = [{0: c, 1: s}, {0: -s, 1: c}] + [{i: GR_ONE} for i in range(2, n)]
+    parts[block] = ExactMatrix._from_sparse(n, n, rows)
     return InnerAutomorphism(AlgebraElement(algebra, parts),
                              name=f"pyth[b{block}]")
 

@@ -201,12 +201,6 @@ class DiagramMorphism:
                         for k in self.components))
 
 
-def check_naturality(m: DiagramMorphism, d1: ShapedDiagram,
-                     d2: ShapedDiagram) -> bool:
-    """Whether every generating edge's square commutes."""
-    return find_naturality_failure(m, d1, d2) is None
-
-
 def find_naturality_failure(m: DiagramMorphism, d1: ShapedDiagram,
                             d2: ShapedDiagram):
     """First edge id whose naturality square fails, or None."""

@@ -10,6 +10,12 @@ A scalar is held as an integer triple (n + m*i)/d with d > 0 and
 gcd(n, m, d) = 1, so each arithmetic step is a few integer products and
 one gcd, and structural equality of triples is exact equality.
 
+A matrix is held as its rows of nonzero entries, so a product, a
+unitarity check or a conjugation costs the entries it touches: a Givens
+rotation of an n-coordinate block has n + 2 of them, not n^2.  Dense
+input is accepted and validated.  The hash, JSON, repr and the dense
+entries tuple are those of the dense row-major form.
+
 All values are immutable after construction and all operations are pure,
 so they can be shared freely between threads.
 """
@@ -130,6 +136,8 @@ class GaussianRational:
         return _make(-self.n, -self.m, self.d)
 
     def __mul__(self, other):
+        if self is GR_ONE:
+            return other
         a, b, c, e = self.n, self.m, other.n, other.m
         return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
@@ -218,20 +226,33 @@ class MatrixClass:
 
 
 class ExactMatrix:
-    """An immutable matrix with GaussianRational entries, stored row-major."""
+    """An immutable matrix with GaussianRational entries, held as one
+    {column: entry} dict of nonzero entries per row (sparse).
 
-    __slots__ = ("rows", "cols", "entries", "_hash")
+    Zeros are never stored, so equal stored rows mean equal matrices;
+    stored rows are shared between matrices and never mutated.
+    """
+
+    __slots__ = ("rows", "cols", "sparse", "_entries", "_hash")
 
     def __init__(self, rows: int, cols: int, entries):
         entries = tuple(GaussianRational.coerce(e) for e in entries)
         if len(entries) != rows * cols:
-            raise ValidationError(
-                f"entry count {len(entries)} != {rows}x{cols}"
-            )
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries
+            raise ValidationError(f"entry count {len(entries)} != {rows}x{cols}")
+        self.rows, self.cols = rows, cols
+        self.sparse = tuple(
+            {j: e for j, e in enumerate(entries[i * cols:(i + 1) * cols]) if e}
+            for i in range(rows))
+        self._entries = entries
         self._hash = None
+
+    @classmethod
+    def _from_sparse(cls, rows: int, cols: int, sparse) -> "ExactMatrix":
+        """The matrix of row dicts {column < cols: nonzero entry}, as is."""
+        m = _new(cls)
+        m.rows, m.cols, m.sparse = rows, cols, tuple(sparse)
+        m._entries = m._hash = None
+        return m
 
     @classmethod
     def from_rows(cls, rows) -> "ExactMatrix":
@@ -244,144 +265,138 @@ class ExactMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        return cls(n, n, [GR_ONE if i == j else GR_ZERO
-                          for i in range(n) for j in range(n)])
+        return cls._from_sparse(n, n, ({i: GR_ONE} for i in range(n)))
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "ExactMatrix":
-        return cls(rows, cols, [GR_ZERO] * (rows * cols))
+        return cls._from_sparse(rows, cols, ({} for _ in range(rows)))
 
     @classmethod
     def diagonal(cls, values) -> "ExactMatrix":
         values = [GaussianRational.coerce(v) for v in values]
-        n = len(values)
-        return cls(n, n, [values[i] if i == j else GR_ZERO
-                          for i in range(n) for j in range(n)])
+        return cls._from_sparse(len(values), len(values), (
+            {i: v} if v else {} for i, v in enumerate(values)))
+
+    def _dense(self, zero) -> tuple:
+        """The row-major tuple of entries with zero at the unstored ones."""
+        cols = self.cols
+        dense = [zero] * (self.rows * cols)
+        for i, row in enumerate(self.sparse):
+            for j, e in row.items():
+                dense[i * cols + j] = e
+        return tuple(dense)
+
+    @property
+    def entries(self) -> tuple:
+        """The dense row-major tuple of entries, built on first read."""
+        if self._entries is None:
+            self._entries = self._dense(GR_ZERO)
+        return self._entries
 
     def entry(self, i: int, j: int) -> GaussianRational:
-        return self.entries[i * self.cols + j]
+        return self.sparse[i].get(j, GR_ZERO)
 
     def row_list(self, i: int):
-        return list(self.entries[i * self.cols:(i + 1) * self.cols])
+        row = self.sparse[i]
+        return [row.get(j, GR_ZERO) for j in range(self.cols)]
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValidationError(
-                f"shape mismatch in add: {self.rows}x{self.cols} vs "
+                f"shape mismatch: {self.rows}x{self.cols} vs "
                 f"{other.rows}x{other.cols}"
             )
-        return ExactMatrix(
-            self.rows, self.cols,
-            [a + b for a, b in zip(self.entries, other.entries)],
-        )
+        out = []
+        for a, b in zip(self.sparse, other.sparse):
+            row = dict(a)
+            for j, y in b.items():
+                v = row[j] + y if j in row else y
+                if v:
+                    row[j] = v
+                else:
+                    del row[j]
+            out.append(row)
+        return ExactMatrix._from_sparse(self.rows, self.cols, out)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValidationError(
-                f"shape mismatch in sub: {self.rows}x{self.cols} vs "
-                f"{other.rows}x{other.cols}"
-            )
-        return ExactMatrix(
-            self.rows, self.cols,
-            [a - b for a, b in zip(self.entries, other.entries)],
-        )
+        return self + -other
 
     def __neg__(self):
-        return ExactMatrix(self.rows, self.cols, [-e for e in self.entries])
+        return ExactMatrix._from_sparse(self.rows, self.cols, (
+            {j: -e for j, e in row.items()} for row in self.sparse))
 
     def __mul__(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Matrix product, skipping zero entries of both factors."""
+        """Matrix product, summing over the stored entries of both
+        factors only."""
         if self.cols != other.rows:
             raise ValidationError(
                 f"shape mismatch in mul: {self.rows}x{self.cols} times "
                 f"{other.rows}x{other.cols}"
             )
-        inner, oc = self.cols, other.cols
-        right = other.entries
-        right_rows = [[(j, b) for j, b in enumerate(right[k * oc:(k + 1) * oc])
-                       if b] for k in range(inner)]
+        right = other.sparse
         out = []
-        for i in range(self.rows):
-            row = [GR_ZERO] * oc
-            for k, a in enumerate(self.entries[i * inner:(i + 1) * inner]):
-                if a:
-                    for j, b in right_rows[k]:
-                        row[j] = row[j] + a * b
-            out.extend(row)
-        return ExactMatrix(self.rows, oc, out)
+        for row in self.sparse:
+            acc = {}
+            terms = 0
+            for k, a in row.items():
+                for j, b in right[k].items():
+                    terms += 1
+                    acc[j] = acc[j] + a * b if j in acc else a * b
+            # a product of nonzeros is nonzero: only a sum can cancel
+            out.append(acc if terms == len(acc) else
+                       {j: v for j, v in acc.items() if v})
+        return ExactMatrix._from_sparse(self.rows, other.cols, out)
 
     def scale(self, c) -> "ExactMatrix":
         c = GaussianRational.coerce(c)
-        return ExactMatrix(self.rows, self.cols, [c * e for e in self.entries])
+        return ExactMatrix._from_sparse(self.rows, self.cols, (
+            {j: c * e for j, e in row.items()} if c else {}
+            for row in self.sparse))
 
     def adjoint(self) -> "ExactMatrix":
         """Conjugate transpose."""
-        cols = self.cols
-        return ExactMatrix(cols, self.rows, [
-            e.conjugate() for j in range(cols) for e in self.entries[j::cols]])
-
-    def kron(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Kronecker product, shape (p*r) x (q*s)."""
-        rows = self.rows * other.rows
-        cols = self.cols * other.cols
-        out = []
-        for i in range(rows):
-            i1, i2 = divmod(i, other.rows)
-            for j in range(cols):
-                j1, j2 = divmod(j, other.cols)
-                out.append(self.entry(i1, j1) * other.entry(i2, j2))
-        return ExactMatrix(rows, cols, out)
-
-    def trace(self) -> GaussianRational:
-        if self.rows != self.cols:
-            raise ValidationError("trace of a non-square matrix")
-        t = GR_ZERO
-        for i in range(self.rows):
-            t = t + self.entry(i, i)
-        return t
+        out = [{} for _ in range(self.cols)]
+        for i, row in enumerate(self.sparse):
+            for j, e in row.items():
+                out[j][i] = e.conjugate()
+        return ExactMatrix._from_sparse(self.cols, self.rows, out)
 
     def rank(self) -> int:
-        """Rank over Q(i) by exact Gaussian elimination."""
-        work = [self.row_list(i) for i in range(self.rows)]
-        rank = 0
-        col = 0
-        while rank < len(work) and col < self.cols:
-            pivot = None
-            for r in range(rank, len(work)):
-                if not work[r][col].is_zero():
-                    pivot = r
+        """Rank over Q(i): the rows reduced to an echelon basis keyed by
+        leading column, by exact Gaussian elimination."""
+        pivots = {}
+        for row in self.sparse:
+            v = dict(row)
+            while v:
+                j = min(v)
+                p = pivots.get(j)
+                if p is None:
+                    pivots[j] = v
                     break
-            if pivot is None:
-                col += 1
-                continue
-            work[rank], work[pivot] = work[pivot], work[rank]
-            pv = work[rank][col]
-            for r in range(len(work)):
-                if r == rank:
-                    continue
-                factor = work[r][col]
-                if factor.is_zero():
-                    continue
-                ratio = factor / pv
-                row = work[r]
-                prow = work[rank]
-                for c in range(col, self.cols):
-                    row[c] = row[c] - ratio * prow[c]
-            rank += 1
-            col += 1
-        return rank
+                ratio = v[j] / p[j]
+                for c, x in p.items():
+                    nv = v.get(c, GR_ZERO) - ratio * x
+                    if nv:
+                        v[c] = nv
+                    else:
+                        v.pop(c, None)
+        return len(pivots)
 
     def is_zero(self) -> bool:
-        return all(e.is_zero() for e in self.entries)
+        return not any(self.sparse)
+
+    def is_unitary(self) -> bool:
+        """m m* = I."""
+        if self.rows != self.cols:
+            raise ValidationError("a unitary must be square")
+        return self * self.adjoint() == ExactMatrix.identity(self.rows)
 
     def classify(self) -> MatrixClass:
         """projection iff m = m* = m^2; unitary iff m m* = I."""
         if self.rows != self.cols:
             raise ValidationError("classify requires a square matrix")
-        adj = self.adjoint()
-        projection = (self == adj) and (self * self == self)
-        unitary = (self * adj == ExactMatrix.identity(self.rows))
-        return MatrixClass(projection, unitary)
+        projection = (self == self.adjoint()) and (self * self == self)
+        return MatrixClass(projection, self.is_unitary())
 
     def diagonal_01_pattern(self):
         """If the matrix is diagonal with 0/1 entries, the tuple of its
@@ -389,29 +404,23 @@ class ExactMatrix:
         if self.rows != self.cols:
             return None
         bits = []
-        for i in range(self.rows):
-            for j in range(self.cols):
-                e = self.entry(i, j)
-                if i == j:
-                    if e == GR_ONE:
-                        bits.append(1)
-                    elif e.is_zero():
-                        bits.append(0)
-                    else:
-                        return None
-                elif not e.is_zero():
-                    return None
+        for i, row in enumerate(self.sparse):
+            if row and (len(row) != 1 or row.get(i) != GR_ONE):
+                return None
+            bits.append(1 if row else 0)
         return tuple(bits)
 
     def __eq__(self, other):
         if not isinstance(other, ExactMatrix):
             return NotImplemented
         return (self.rows == other.rows and self.cols == other.cols
-                and self.entries == other.entries)
+                and self.sparse == other.sparse)
 
     def __hash__(self):
+        # the hash of (rows, cols, entries): a zero enters as the pair
+        # (0, 0), which hashes as GR_ZERO does, without a call per zero
         if self._hash is None:
-            self._hash = hash((self.rows, self.cols, self.entries))
+            self._hash = hash((self.rows, self.cols, self._dense((0, 0))))
         return self._hash
 
     def __repr__(self):
@@ -423,7 +432,7 @@ class ExactMatrix:
 
     def to_json(self):
         """Rows of ["re", "im"] string pairs; round-trips exactly."""
-        return [[self.entry(i, j).to_pair() for j in range(self.cols)]
+        return [[e.to_pair() for e in self.row_list(i)]
                 for i in range(self.rows)]
 
     @classmethod

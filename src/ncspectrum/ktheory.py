@@ -21,6 +21,7 @@ silently accepted.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .abgroup import (AbHom, ColimitResult, PresentedAbGroup, colimit,
@@ -31,7 +32,7 @@ from .algebra import (AlgebraElement, MultiMatrixAlgebra, StarHom,
 from .diagram import (COVARIANT, FORWARD, DiagramMorphism, Functor, Shape,
                       ShapedDiagram, find_path, postcompose)
 from .errors import (SubdiagramInsufficientError, ValidationError,
-                     VerificationError)
+                     VerificationError, as_int)
 from .snf import IntegerRowLattice
 from .subalgebra import (CommSubalgebra, FiniteSpace, SpaceMap,
                          SpectrumFunctor, SubalgebraArrow,
@@ -43,7 +44,11 @@ def K_of_space(space: FiniteSpace) -> PresentedAbGroup:
     if space.size == 0:
         raise ValidationError("K of the empty space is not used here: "
                               "spectra of unital algebras are nonempty")
-    return PresentedAbGroup.free(space.size)
+    return _free_group(space.size)
+
+
+# one shared free group per rank: groups are immutable values
+_free_group = functools.lru_cache(maxsize=None)(PresentedAbGroup.free)
 
 
 def K_of_map(q: SpaceMap) -> AbHom:
@@ -55,7 +60,7 @@ def K_of_map(q: SpaceMap) -> AbHom:
     words = [{} for _ in q.target.points]
     for x, p in enumerate(q.source.points):
         words[q.target.position(q.assignment[p])][x] = 1
-    return AbHom(K_of_space(q.target), K_of_space(q.source), words)
+    return AbHom._trusted(K_of_space(q.target), K_of_space(q.source), words)
 
 
 KFunctor = Functor(on_object=K_of_space, on_morphism=K_of_map,
@@ -304,7 +309,7 @@ class K0Group:
 
     def class_of(self, ranks):
         """Dense group word of the class with the given per-block ranks."""
-        ranks = tuple(int(r) for r in ranks)
+        ranks = tuple(as_int(r, "rank") for r in ranks)
         if len(ranks) != self.nblocks:
             raise ValidationError("one rank per block required")
         word = [0] * self.group.ngens

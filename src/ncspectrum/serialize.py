@@ -69,10 +69,6 @@ def load_element(data, algebra: MultiMatrixAlgebra) -> AlgebraElement:
     return AlgebraElement(algebra, parts)
 
 
-def dump_element(element: AlgebraElement):
-    return {"parts": [dump_matrix(p) for p in element.parts]}
-
-
 def _is_int_rows(value, width=None) -> bool:
     """Whether value is a list of lists of integers (no bools), each of
     length width when one is given."""

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ValidationError
+from .errors import ValidationError, as_int
 
 
 def xgcd(a: int, b: int):
@@ -115,7 +115,8 @@ def smith_normal_form(matrix) -> SNFResult:
     Pivot selection: smallest nonzero absolute value, ties broken in
     row-major order.
     """
-    m = [[int(x) for x in row] for row in matrix]
+    m = [[x if type(x) is int else as_int(x, "matrix entry") for x in row]
+         for row in matrix]
     rows = len(m)
     cols = len(m[0]) if rows else 0
     if any(len(r) != cols for r in m):
@@ -261,9 +262,13 @@ class IntegerRowLattice:
 
     @staticmethod
     def _to_sparse(vec):
-        if isinstance(vec, dict):
-            return {j: int(c) for j, c in vec.items() if c}
-        return {j: int(c) for j, c in enumerate(vec) if c}
+        out = {}
+        for j, c in vec.items() if isinstance(vec, dict) else enumerate(vec):
+            if type(c) is not int:
+                c = as_int(c, "vector entry")
+            if c:
+                out[j] = c
+        return out
 
     def _reduce(self, v, quotients=None):
         """Subtract basis rows from the sparse vector v, in place, while

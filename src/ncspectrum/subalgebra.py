@@ -13,6 +13,8 @@ contravariant passage from such an arrow to a map of point sets.
 
 from __future__ import annotations
 
+import functools
+
 from .algebra import (AlgebraElement, InnerAutomorphism, MultiMatrixAlgebra,
                       StarHom, diagonal_projection, projection_leq)
 from .diagram import Functor, register_identity
@@ -155,11 +157,6 @@ def span_subalgebra(algebra: MultiMatrixAlgebra, gens) -> CommSubalgebra:
     return CommSubalgebra(algebra, atoms)
 
 
-def trivial_subalgebra(algebra: MultiMatrixAlgebra) -> CommSubalgebra:
-    """The scalars C*1."""
-    return CommSubalgebra(algebra, [algebra.one()], validate=False)
-
-
 def partition_subalgebra(algebra: MultiMatrixAlgebra, parts) -> CommSubalgebra:
     """Diagonal subalgebra whose atoms are the given partition of the
     global diagonal coordinates (each part a set of coordinates)."""
@@ -249,9 +246,6 @@ class SpaceMap:
     def is_surjective(self) -> bool:
         return set(self.assignment.values()) == set(self.target.points)
 
-    def is_bijective(self) -> bool:
-        return self.is_surjective() and len(set(self.assignment.values())) == self.source.size
-
     def image(self, points) -> frozenset:
         return frozenset(self.assignment[p] for p in points)
 
@@ -271,7 +265,13 @@ class SpaceMap:
 
 def spectrum(u: CommSubalgebra) -> FiniteSpace:
     """One point per atom, in atom order; labels are stable."""
-    return FiniteSpace(tuple(f"p{i}" for i in range(u.natoms)))
+    return _points(u.natoms)
+
+
+@functools.lru_cache(maxsize=None)
+def _points(n: int) -> FiniteSpace:
+    # one shared space per size: spaces are immutable values
+    return FiniteSpace(tuple(f"p{i}" for i in range(n)))
 
 
 class SubalgebraArrow:
@@ -407,13 +407,6 @@ def spectrum_of_inclusion(u: CommSubalgebra, v: CommSubalgebra) -> SpaceMap:
     sum to the atom of U at p.
     """
     return SubalgebraArrow.inclusion(u, v).spectrum_map()
-
-
-def rotate_subalgebra(alpha: InnerAutomorphism, u: CommSubalgebra):
-    """Conjugated subalgebra together with the bijective spectrum map
-    Sigma(alpha(U)) -> Sigma(U) pairing corresponding atoms."""
-    arrow = SubalgebraArrow.rotation(alpha, u)
-    return arrow.codomain, arrow.spectrum_map()
 
 
 SpectrumFunctor = Functor(on_object=spectrum,

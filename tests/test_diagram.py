@@ -2,18 +2,28 @@ import random
 
 import pytest
 
-from ncspectrum import (AbHom, MultiMatrixAlgebra, PresentedAbGroup, Shape,
-                        ShapedDiagram, SpectrumFunctor, ValidationError,
-                        check_naturality, compose_morphisms,
-                        partition_subalgebra, postcompose,
-                        trivial_subalgebra)
-from ncspectrum.diagram import FORWARD, DiagramMorphism, Functor, find_path
+from ncspectrum import (AbHom, CommSubalgebra, MultiMatrixAlgebra,
+                        PresentedAbGroup, Shape, ShapedDiagram,
+                        SpectrumFunctor, ValidationError, compose_morphisms,
+                        partition_subalgebra, postcompose)
+from ncspectrum.diagram import (FORWARD, DiagramMorphism, Functor, find_path,
+                                find_naturality_failure)
 from ncspectrum.ktheory import K_of_map, KFunctor
 from ncspectrum.subalgebra import FiniteSpace, SpaceMap, SubalgebraArrow
 
 Z = PresentedAbGroup.free(1)
 IDENTITY_FUNCTOR = Functor(on_object=lambda x: x, on_morphism=lambda h: h,
                            contravariant=False, name="Id")
+
+
+def check_naturality(m, d1, d2):
+    """Whether every generating edge's square commutes."""
+    return find_naturality_failure(m, d1, d2) is None
+
+
+def trivial_subalgebra(algebra):
+    """The scalars C*1."""
+    return CommSubalgebra(algebra, [algebra.one()], validate=False)
 
 
 def two_node_diagram(multiplier):

@@ -197,6 +197,11 @@ class TestK0Standard:
     def test_two_blocks(self):
         assert k0_standard(M23).canonical_str() == "Z^2"
 
+    @pytest.mark.parametrize("ranks", [(1.7,), (True,), ("1",), (1.0,)])
+    def test_class_of_rejects_non_integer_ranks(self, ranks):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            k0_standard(MultiMatrixAlgebra([1])).class_of(ranks)
+
     def test_hom_identity(self):
         h = k0_standard_hom(StarHom.identity(M23))
         assert h.images == ((1, 0), (0, 1))

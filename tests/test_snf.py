@@ -331,3 +331,34 @@ class TestDeterminant:
             singular += want == 0
             assert integer_determinant(m) == want, m
         assert singular > 20
+
+
+# -- no integer routine truncates a non-integer entry --------------------------
+
+@pytest.mark.parametrize("bad", [2.5, 1.0, True, False, "3", Fraction(5, 2)])
+@pytest.mark.parametrize("call", [
+    lambda x: smith_normal_form([[x]]),
+    lambda x: invariant_factors_of_rows([[x]], 1),
+    lambda x: invariant_factors_of_rows([{0: x}], 1),
+    lambda x: IntegerRowLattice(1).insert([x]),
+    lambda x: IntegerRowLattice(1).contains({0: x}),
+    lambda x: IntegerRowLattice(1).coordinates([x]),
+    lambda x: preimage_row_lattice([[x]], [], 1),
+], ids=["snf", "factors-dense", "factors-sparse", "insert", "contains",
+        "coordinates", "preimage"])
+def test_non_integer_entries_are_rejected(call, bad):
+    with pytest.raises(ValidationError, match="must be an integer"):
+        call(bad)
+
+
+def test_int_subclass_entries_are_read_as_ints():
+    from enum import IntEnum
+
+    class Two(IntEnum):
+        TWO = 2
+    assert smith_normal_form([[Two.TWO]]).D == [[2]]
+    assert invariant_factors_of_rows([[Two.TWO]], 1) == (0, [2])
+    lattice = IntegerRowLattice(1)
+    lattice.insert([Two.TWO])
+    assert lattice.basis_sparse() == [{0: 2}]
+    assert type(lattice.basis_sparse()[0][0]) is int

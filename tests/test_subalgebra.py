@@ -4,9 +4,21 @@ import pytest
 
 from ncspectrum import (ExactMatrix, MultiMatrixAlgebra, ValidationError,
                         diagonal_projection, partition_subalgebra,
-                        pythagorean_unitary, rotate_subalgebra,
+                        CommSubalgebra, SubalgebraArrow, pythagorean_unitary,
                         span_subalgebra, spectrum, spectrum_of_inclusion,
-                        transposition_unitary, trivial_subalgebra)
+                        transposition_unitary)
+
+def trivial_subalgebra(algebra):
+    """The scalars C*1."""
+    return CommSubalgebra(algebra, [algebra.one()], validate=False)
+
+
+def rotate_subalgebra(alpha, u):
+    """The rotated subalgebra and the bijective spectrum map pairing
+    corresponding atoms."""
+    arrow = SubalgebraArrow.rotation(alpha, u)
+    return arrow.codomain, arrow.spectrum_map()
+
 
 M2 = MultiMatrixAlgebra([2])
 M3 = MultiMatrixAlgebra([3])
@@ -183,7 +195,7 @@ class TestRotateSubalgebra:
         assert w != u
         check_partition_of_unity(w)
         assert all(p.rank_vector() == (1,) for p in w.atoms)
-        assert q.is_bijective()
+        assert sorted(q.assignment.values()) == sorted(q.target.points)
 
     def test_parent_mismatch(self):
         u = partition_subalgebra(M2, [{0}, {1}])
