@@ -86,6 +86,10 @@ def cmd_verify(args, out) -> int:
 
     if args.hom:
         hom = serialize.load_hom(serialize.load_json_argument(args.hom))
+        if hom.domain != algebra:
+            raise ValidationError(
+                f"the hom's domain has blocks {list(hom.domain.blocks)}, "
+                f"--algebra has blocks {list(algebra.blocks)}")
         report = verify_naturality_square(hom, m=args.stabilize or 1)
         result["naturality"] = {"ok": report.ok, "witness": report.witness}
         text.append(f"naturality square: {'PASS' if report.ok else 'FAIL'}")

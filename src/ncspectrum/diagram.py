@@ -97,7 +97,7 @@ class ShapedDiagram:
     __slots__ = ("shape", "node_data", "edge_data", "variance", "meta")
 
     def __init__(self, shape, node_data, edge_data, variance=COVARIANT,
-                 meta=None, validate=True):
+                 meta=None):
         if variance not in (COVARIANT, CONTRAVARIANT):
             raise ValidationError(f"unknown variance {variance!r}")
         self.shape = shape
@@ -105,8 +105,7 @@ class ShapedDiagram:
         self.edge_data = dict(edge_data)
         self.variance = variance
         self.meta = meta or {}
-        if validate:
-            self._validate()
+        self._validate()
 
     def _validate(self):
         for n in self.shape.nodes:

@@ -6,16 +6,15 @@ group's reduced form, see abgroup): membership backs equality in
 finitely presented abelian groups, coordinates expresses a vector over
 the basis, and preimage_row_lattice echelonizes an augmented matrix to
 find the kernel of a homomorphism.
-invariant_factors_of_rows computes Smith invariant factors without
-tracking transforms, using sparse elimination with a fill-reducing
-pivot rule so that the big colimit presentations stay cheap.
 
 smith_normal_form computes U, D, V with U*M*V = D, U and V unimodular,
-D diagonal with a divisibility chain; it finishes the non-unit residual
-of invariant_factors_of_rows and backs the snf command.  Pivots are
-chosen by smallest nonzero absolute value with row-major tie-breaking,
-so output is deterministic.  Entries are Python ints, so growth is
-unbounded but exact.
+D diagonal with a divisibility chain.  It backs the snf command, and
+invariant_factors_of_rows reads invariant factors off its diagonal;
+groups pass it their reduced residual, which is small because the
+identifying relations are already substituted away (see abgroup).
+Pivots are chosen by smallest nonzero absolute value with row-major
+tie-breaking, so output is deterministic.  Entries are Python ints, so
+growth is unbounded but exact.
 """
 
 from __future__ import annotations
@@ -351,77 +350,27 @@ class IntegerRowLattice:
 
 
 def invariant_factors_of_rows(rows, ngens: int):
-    """(free_rank, torsion divisors > 1) of Z^ngens modulo the row lattice.
-
-    Sparse elimination: unit pivots are peeled off first with a
-    fill-reducing (Markowitz-style) choice, deterministically; whatever
-    remains is finished densely.
-    """
-    live = {}
-    col_index = {}
-    for rid, row in enumerate(rows):
-        sp = IntegerRowLattice._to_sparse(row)
-        if sp:
-            live[rid] = sp
-            for c in sp:
-                col_index.setdefault(c, set()).add(rid)
-
-    ones = 0
-    while live:
-        best = None
-        for rid, row in live.items():
-            rlen = len(row)
-            for c, val in row.items():
-                if val == 1 or val == -1:
-                    score = (rlen - 1) * (len(col_index[c]) - 1)
-                    key = (score, rid, c)
-                    if best is None or key < best:
-                        best = key
-        if best is None:
-            break
-        _, prid, pc = best
-        prow = live[prid]
-        pval = prow[pc]
-        for rid in list(col_index[pc]):
-            if rid == prid or rid not in live:
-                continue
-            row = live[rid]
-            f = row[pc] * pval  # pval in {1,-1}: exact elimination factor
-            for c, x in prow.items():
-                nv = row.get(c, 0) - f * x
-                if nv:
-                    if c not in row:
-                        col_index.setdefault(c, set()).add(rid)
-                    row[c] = nv
-                else:
-                    if c in row:
-                        row.pop(c)
-                        col_index[c].discard(rid)
-            if not row:
-                del live[rid]
-        # pivot row leaves; its other entries die under column ops that
-        # touch no other row (the pivot column is now zero elsewhere)
-        for c in prow:
-            col_index[c].discard(prid)
-        del live[prid]
-        ones += 1
-
-    if live:
-        cols = sorted({c for row in live.values() for c in row})
-        colpos = {c: i for i, c in enumerate(cols)}
-        dense = []
-        for rid in sorted(live):
-            row = [0] * len(cols)
-            for c, x in live[rid].items():
-                row[colpos[c]] = x
-            dense.append(row)
-        residual = [d for d in smith_normal_form(dense).diagonal if d]
-    else:
-        residual = []
-
-    rank = ones + len(residual)
-    torsion = [d for d in residual if d > 1]
-    return ngens - rank, torsion
+    """(free_rank, torsion divisors > 1) of Z^ngens modulo the row lattice:
+    the nonzero diagonal of the Smith form of the nonzero rows, densified
+    over the columns they use.  Rows are dense of length ngens, or sparse
+    dicts that together name at most ngens distinct column ids >= 0."""
+    sparse = []
+    for row in rows:
+        if not isinstance(row, dict) and len(row) != ngens:
+            raise ValidationError(f"row of length {len(row)}, not {ngens}")
+        if sp := IntegerRowLattice._to_sparse(row):
+            sparse.append(sp)
+    cols = sorted({c for sp in sparse for c in sp})
+    if len(cols) > ngens or (cols and cols[0] < 0):
+        raise ValidationError(f"rows name {len(cols)} columns, smallest "
+                              f"{cols[0]}, in a group on {ngens} generators")
+    colpos = {c: i for i, c in enumerate(cols)}
+    dense = [[0] * len(cols) for _ in sparse]
+    for row, sp in zip(dense, sparse):
+        for c, x in sp.items():
+            row[colpos[c]] = x
+    diagonal = [d for d in smith_normal_form(dense).diagonal if d]
+    return ngens - len(diagonal), [d for d in diagonal if d > 1]
 
 
 def preimage_row_lattice(a_rows, r_rows, ncols: int) -> IntegerRowLattice:

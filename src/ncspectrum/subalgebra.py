@@ -332,17 +332,13 @@ class SubalgebraArrow:
 
     @classmethod
     def hom_restriction(cls, phi: StarHom, u: CommSubalgebra, images,
-                        codomain: CommSubalgebra | None = None) -> "SubalgebraArrow":
-        """phi restricted to U, landing in phi(U) (unital phi only);
-        images is the tuple of phi of U's atoms in their order."""
+                        codomain: CommSubalgebra) -> "SubalgebraArrow":
+        """phi restricted to U, landing in codomain = phi(U) (unital phi
+        only); images is the tuple of phi of U's atoms in their order."""
         if not phi.unital:
             raise ValidationError("restriction requires a unital hom")
         if u.algebra != phi.domain:
             raise ValidationError("subalgebra does not live in the hom's domain")
-        if codomain is None:
-            nonzero = sorted((q for q in images if not q.is_zero()),
-                             key=_atom_sort_key)
-            codomain = CommSubalgebra(phi.codomain, nonzero, validate=False)
         return cls(u, codomain, images, kind="hom")
 
     def apply_projection(self, p: AlgebraElement) -> AlgebraElement:

@@ -198,6 +198,16 @@ class TestInvalidInput:
         assert code == 0
         assert text.splitlines()[0] == "Z"
 
+    def test_hom_domain_must_match_algebra(self):
+        hom = ('{"domain":{"blocks":[2]},"codomain":{"blocks":[2]},'
+               '"multiplicity":[[1]]}')
+        code, text = run_cli("--format", "json", "verify", "theorem1",
+                             "--algebra", '{"blocks":[1]}', "--hom", hom)
+        assert code == 1
+        assert text.startswith("error: ")
+        assert "[2]" in text and "[1]" in text
+        assert "naturality" not in text
+
 
 class TestVerifyCommand:
     def test_theorem1_pass(self):

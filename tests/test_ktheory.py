@@ -392,3 +392,32 @@ class TestTheorem1Report:
         rep = verify_theorem1(M2, spec=spec, m=1)
         assert not rep.ok
         assert rep.error is not None
+
+
+class TestClassOfProjectionDominatedAtoms:
+    M3 = MultiMatrixAlgebra([3])
+
+    def rotated_atom(self):
+        """The Pythagorean image of the rank-one projection on coordinate 0."""
+        return pythagorean_unitary(self.M3, 0).conjugate(
+            diagonal_projection(self.M3, {0}))
+
+    def test_sum_of_atoms_of_the_rotated_finest_node(self):
+        # neither a node's span nor a diagonal mask: q0 + e2 is the sum of
+        # two atoms of the rotated finest node
+        kt = k_tilde_f(self.M3)
+        p = self.rotated_atom() + diagonal_projection(self.M3, {2})
+        assert p.diag_mask is None
+        assert element_eq(kt.group, kt.class_of_projection(p),
+                          kt.class_of((2,)))
+
+    def test_projection_outside_the_sample_fails_loudly(self):
+        from ncspectrum import SubdiagramInsufficientError
+
+        c, s = GaussianRational("3/5"), GaussianRational("4/5")
+        u = self.M3.element([ExactMatrix.from_rows(
+            [[1, 0, 0], [0, c, s], [0, -s, c]])])
+        q = InnerAutomorphism(u).conjugate(self.rotated_atom())
+        with pytest.raises(SubdiagramInsufficientError) as info:
+            k_tilde_f(self.M3).class_of_projection(q)
+        assert info.value.witness == {"rank_vector": (1,)}

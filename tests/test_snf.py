@@ -362,3 +362,26 @@ def test_int_subclass_entries_are_read_as_ints():
     lattice.insert([Two.TWO])
     assert lattice.basis_sparse() == [{0: 2}]
     assert type(lattice.basis_sparse()[0][0]) is int
+
+
+# -- rows that do not fit the generator count are rejected ---------------------
+
+@pytest.mark.parametrize("rows,ngens", [
+    ([{0: 1}, {1: 1}, {2: 1}], 1),
+    ([{5: 1}, {9: 2}], 1),
+    ([{-1: 2}], 3),
+    ([[1, 2, 3]], 1),
+    ([[1]], 2),
+    ([[0, 0]], 1),
+], ids=["three-columns", "two-far-columns", "negative-column",
+        "long-dense", "short-dense", "zero-dense"])
+def test_rows_that_do_not_fit_ngens_are_rejected(rows, ngens):
+    with pytest.raises(ValidationError):
+        invariant_factors_of_rows(rows, ngens)
+
+
+def test_sparse_columns_are_counted_not_compared_with_ngens():
+    # the reduced form keys residual rows by class representatives, which
+    # may exceed the number of classes
+    assert invariant_factors_of_rows([{5: 2}, {9: 3}], 2) == (0, [6])
+    assert invariant_factors_of_rows([{7: 4}, {}], 3) == (2, [4])
