@@ -10,9 +10,9 @@ from .errors import (SubdiagramInsufficientError, ValidationError,
                      VerificationError)
 from .exact import ExactMatrix, GaussianRational, MatrixClass
 from .algebra import (AlgebraElement, InnerAutomorphism, MultiMatrixAlgebra,
-                      StarHom, diagonal_projection, pythagorean_unitary,
-                      sample_unital_hom, stabilize, transposition_unitary,
-                      unitalize)
+                      StarHom, cycle_unitary, diagonal_projection,
+                      pythagorean_unitary, sample_unital_hom, stabilize,
+                      transposition_unitary, unitalize)
 from .subalgebra import (CommSubalgebra, FiniteSpace, SpaceMap,
                          SpectrumFunctor, SubalgebraArrow,
                          partition_subalgebra, span_subalgebra, spectrum,

@@ -14,9 +14,9 @@ still, and are held in it:
   form, see diagonal_projection); its block matrices are built only
   when they are read;
 - a rotation that permutes the diagonal coordinates, such as a
-  transposition or the image of one under a unital hom, is held as
-  that coordinate permutation (InnerAutomorphism.permutation), and
-  conjugates a diagonal projection by permuting its coordinate set.
+  transposition, a cycle or the image of one under a unital hom, is
+  held as that coordinate permutation (InnerAutomorphism.permutation),
+  and conjugates a diagonal projection by permuting its coordinate set.
 
 Any other rotation, such as the Pythagorean (Givens) one or a unitary
 given in a spec, is held by its unitary; it leaves alone every diagonal
@@ -645,6 +645,21 @@ def transposition_unitary(algebra: MultiMatrixAlgebra, block: int,
     perm[offset + i], perm[offset + j] = perm[offset + j], perm[offset + i]
     return InnerAutomorphism.permutation(algebra, perm,
                                          name=f"swap[b{block}:{i},{j}]")
+
+
+def cycle_unitary(algebra: MultiMatrixAlgebra, block: int) -> InnerAutomorphism:
+    """The permutation rotation sending coordinate c of a block of size n
+    to c + 1 mod n.  With one transposition of neighbouring coordinates
+    it generates every coordinate permutation of the block."""
+    n = algebra.blocks[block]
+    if n < 2:
+        raise ValidationError("cycle rotation needs a block of size >= 2")
+    offset = algebra.block_offset(block)
+    perm = list(range(algebra.coord_count))
+    for c in range(n):
+        perm[offset + c] = offset + (c + 1) % n
+    return InnerAutomorphism.permutation(algebra, perm,
+                                         name=f"cycle[b{block}]")
 
 
 def pythagorean_unitary(algebra: MultiMatrixAlgebra, block: int) -> InnerAutomorphism:

@@ -10,9 +10,10 @@ explicit inverse on generators.
 The full diagram of commutative subalgebras is infinite; any finite
 sample that still generates its identifications has the same colimit.
 The default sample is such a generating set: the coarsest and the
-finest diagonal partition, rotated copies under the adjacent
-transpositions and one Pythagorean rotation per block, inclusion edges
-between them and a rotation edge per rotation at each base node.  A
+finest diagonal partition, rotated copies under at most three rotations
+per block (the transposition of its first two coordinates, the cycle of
+its coordinates and one Pythagorean rotation), inclusion edges between
+them and a rotation edge per rotation at each base node.  A
 diagram that a morphism maps into is closed under the images of the
 source's base nodes and rotations (image_closed_spec).  When a sample
 is too coarse for an isomorphism check, that is reported loudly, never
@@ -27,8 +28,8 @@ from dataclasses import dataclass
 from .abgroup import (AbHom, ColimitResult, PresentedAbGroup, colimit,
                       colimit_induced, element_eq, kernel)
 from .algebra import (AlgebraElement, MultiMatrixAlgebra, StarHom,
-                      pythagorean_unitary, stabilize, transposition_unitary,
-                      unitalize)
+                      cycle_unitary, pythagorean_unitary, stabilize,
+                      transposition_unitary, unitalize)
 from .diagram import (COVARIANT, FORWARD, DiagramMorphism, Functor, Shape,
                       ShapedDiagram, find_path, postcompose)
 from .errors import (SubdiagramInsufficientError, ValidationError,
@@ -99,15 +100,19 @@ class SubdiagramSpec:
 
     @classmethod
     def default(cls, algebra: MultiMatrixAlgebra) -> "SubdiagramSpec":
-        """The adjacent transpositions of each block, which generate its
-        coordinate permutations, plus one Pythagorean rotation per block
-        of size >= 2."""
+        """Per block of size n >= 2: the transposition (0 1), the n-cycle
+        c -> c + 1 mod n when n >= 3 (for n = 2 it is the transposition),
+        which together generate the block's coordinate permutations, and
+        one Pythagorean rotation.  So the sample grows linearly with the
+        coordinates."""
         rotations = []
         for b, n in enumerate(algebra.blocks):
-            for i in range(n - 1):
-                rotations.append(transposition_unitary(algebra, b, i, i + 1))
-            if n >= 2:
-                rotations.append(pythagorean_unitary(algebra, b))
+            if n < 2:
+                continue
+            rotations.append(transposition_unitary(algebra, b, 0, 1))
+            if n >= 3:
+                rotations.append(cycle_unitary(algebra, b))
+            rotations.append(pythagorean_unitary(algebra, b))
         return cls(rotations=tuple(rotations), label="default")
 
     def describe(self) -> str:

@@ -120,9 +120,8 @@ SPEC_KEYS = ("rotations", "partitions", "label")
 def load_spec(data, algebra: MultiMatrixAlgebra) -> SubdiagramSpec:
     """{"rotations": "default" | [element, ...], "partitions": [[[0, 1],
     [2]], ...], "label": str}, every key optional."""
-    base = SubdiagramSpec.default(algebra)
     if data is None:
-        return base
+        return SubdiagramSpec.default(algebra)
     if not isinstance(data, dict):
         raise ValidationError("spec JSON must be an object")
     # a key the spec does not know, such as the partition limit or the
@@ -136,7 +135,7 @@ def load_spec(data, algebra: MultiMatrixAlgebra) -> SubdiagramSpec:
                 f"partitions under 'partitions'")
     rotations = data.get("rotations", "default")
     if rotations == "default":
-        rotations = base.rotations
+        rotations = SubdiagramSpec.default(algebra).rotations
     elif not isinstance(rotations, list):
         raise ValidationError('spec rotations must be "default" or a list '
                               'of unitary elements')
@@ -152,8 +151,14 @@ def load_spec(data, algebra: MultiMatrixAlgebra) -> SubdiagramSpec:
             for parts in partitions):
         raise ValidationError("spec partitions must be a list of partitions, "
                               "each a list of coordinate lists")
+    # the label is printed on the one-line spec: output
+    label = data.get("label", "file")
+    if not isinstance(label, str) or not label.isprintable():
+        raise ValidationError(
+            f"spec label must be a string of printable characters, "
+            f"got {label!r}")
     return SubdiagramSpec(rotations=rotations, partitions=partitions,
-                          label=str(data.get("label", "file")))
+                          label=label)
 
 
 def _diagram_json(data, node_field, edge_field):

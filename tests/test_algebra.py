@@ -4,7 +4,7 @@ import pytest
 
 from ncspectrum import (AlgebraElement, ExactMatrix, GaussianRational,
                         InnerAutomorphism, MultiMatrixAlgebra, StarHom,
-                        ValidationError, diagonal_projection,
+                        ValidationError, cycle_unitary, diagonal_projection,
                         pythagorean_unitary, sample_unital_hom, stabilize,
                         transposition_unitary, unitalize)
 
@@ -82,6 +82,18 @@ class TestConjugate:
         alpha = transposition_unitary(M2, 0, 0, 1)
         p = diagonal_projection(M2, [0])
         assert alpha.conjugate(p) == diagonal_projection(M2, [1])
+
+    def test_cycle(self):
+        # block 1 of M23 holds coordinates 2, 3, 4; block 0 stays put
+        alpha = cycle_unitary(M23, 1)
+        assert alpha.name == "cycle[b1]"
+        for c, want in [(0, 0), (1, 1), (2, 3), (3, 4), (4, 2)]:
+            p = diagonal_projection(M23, [c])
+            assert alpha.conjugate(p) == diagonal_projection(M23, [want])
+
+    def test_cycle_needs_two_coordinates(self):
+        with pytest.raises(ValidationError):
+            cycle_unitary(MultiMatrixAlgebra([1, 2]), 0)
 
     def test_pythagorean_rotation(self):
         alpha = pythagorean_unitary(M2, 0)

@@ -163,6 +163,15 @@ class TestInvalidInput:
         assert text.startswith("error: ")
         assert named in text
 
+    @pytest.mark.parametrize("label", [5, ["x"], None, "a\nb", "tab\there"])
+    def test_bad_spec_label_exit_one(self, label):
+        code, text = run_cli("ideals", "--algebra", '{"blocks":[2]}',
+                             "--spec", json.dumps({"label": label}))
+        assert code == 1
+        assert text.startswith("error: ")
+        assert "label" in text
+        assert len(text.splitlines()) == 1
+
     @pytest.mark.parametrize("entry, named", [
         ("true", "True"), ("1.0", "1.0"), ('"1/0"', "'1/0'"),
         ('"nan"', "'nan'"), ('["1", false]', "False"), ("[1]", "[1]"),
@@ -457,7 +466,7 @@ GOLDEN = [
      ["total ideals: 4", "t_tilde lattice: 4 elements",
       "lattice isomorphism: PASS", "partial-ideal round trip: PASS",
       "spec: default(rotations=[swap[b0:0,1],pyth[b0],swap[b1:0,1],"
-      "swap[b1:1,2],pyth[b1]], partitions=[])"]),
+      "cycle[b1],pyth[b1]], partitions=[])"]),
     (("k0", "--algebra", '{"blocks":[2]}', "--method", "diagram",
       "--stabilize", "2", "--spec", "SPEC"), 0,
      ["Z^3", "block 0: class {'1': 1}"]),

@@ -4,7 +4,8 @@ import pytest
 
 from ncspectrum import (ExactMatrix, GaussianRational, InnerAutomorphism,
                         K_of_map, K_of_space, MultiMatrixAlgebra,
-                        StarHom, SubdiagramSpec, ValidationError,
+                        StarHom, SubdiagramInsufficientError,
+                        SubdiagramSpec, ValidationError,
                         build_subdiagram, diagonal_projection, element_eq,
                         eta, k0_standard, k0_standard_hom, k_tilde_f,
                         k_tilde_f_nonunital, pythagorean_unitary,
@@ -76,7 +77,30 @@ class TestBuildSubdiagram:
         dia = build_subdiagram(MultiMatrixAlgebra([6]))
         assert dia.meta["base_ids"] == ("d:0,1,2,3,4,5", "d:0|1|2|3|4|5")
         assert len(dia.shape.nodes) == 3
-        assert len(dia.shape.edges) == 8
+        assert len(dia.shape.edges) == 5
+
+    @pytest.mark.parametrize("n,count", [(1, 0), (2, 2), (3, 3), (7, 3),
+                                         (64, 3)])
+    def test_default_spec_has_at_most_three_rotations_per_block(self, n, count):
+        spec = SubdiagramSpec.default(MultiMatrixAlgebra([n]))
+        assert len(spec.rotations) == count
+
+    def test_default_diagram_size_does_not_grow_with_the_block(self):
+        # n - 1 adjacent transpositions per block would give n + 2 edges
+        for n in range(3, 65):
+            dia = build_subdiagram(MultiMatrixAlgebra([n]))
+            assert (len(dia.shape.nodes), len(dia.shape.edges)) == (3, 5), n
+
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_default_spec_without_the_cycle_is_insufficient(self, n):
+        # (0 1) and the Pythagorean rotation only mix coordinates 0 and 1
+        algebra = MultiMatrixAlgebra([n])
+        rotations = tuple(a for a in SubdiagramSpec.default(algebra).rotations
+                          if not a.name.startswith("cycle"))
+        assert len(rotations) == 2
+        spec = SubdiagramSpec(rotations=rotations, label="no-cycle")
+        with pytest.raises(SubdiagramInsufficientError):
+            eta(algebra, spec=spec, m=1)
 
     def test_loops_with_the_identity_placement_are_left_out(self):
         # the swap fixes the coarsest node atom by atom, so it only adds

@@ -87,6 +87,16 @@ class TestSpec:
         with pytest.raises(ValidationError):
             serialize.load_spec(data, MultiMatrixAlgebra([2]))
 
+    def test_listed_rotations_do_not_build_the_default(self, monkeypatch):
+        def fail(cls, algebra):
+            raise AssertionError("default spec built")
+
+        monkeypatch.setattr(serialize.SubdiagramSpec, "default",
+                            classmethod(fail))
+        spec = serialize.load_spec({"rotations": [], "label": "bare"},
+                                   MultiMatrixAlgebra([2]))
+        assert spec.rotations == ()
+
 
 class TestHom:
     def test_round_trip(self):

@@ -8,12 +8,13 @@ only runs on algebras with at most ORACLE_MAX_COORDS stabilized
 coordinates.
 """
 
+import dataclasses
 import random
 
 import pytest
 
 from ncspectrum import (MultiMatrixAlgebra, SubdiagramInsufficientError,
-                        SubdiagramSpec, build_subdiagram, eta,
+                        SubdiagramSpec, build_subdiagram, eta, k_tilde_f,
                         pythagorean_unitary, sample_unital_hom, stabilize,
                         transposition_unitary, verify_conjecture1,
                         verify_naturality_square, verify_theorem1)
@@ -113,3 +114,68 @@ def test_partitions_without_rotations_stay_insufficient():
     spec = SubdiagramSpec(partitions=tuple(set_partitions(3)), label="bare")
     with pytest.raises(SubdiagramInsufficientError):
         eta(algebra, spec=spec, m=1)
+
+
+# A second oracle: the n - 1 adjacent transpositions of each block plus its
+# Pythagorean rotation.  It generates the same coordinate permutations as
+# the default's transposition and cycle, with one rotation per coordinate
+# and no partition enumeration, so it runs well past ORACLE_MAX_COORDS.
+ADJACENT_SEED = 20261019
+
+
+def adjacent_spec(algebra):
+    rotations = []
+    for b, n in enumerate(algebra.blocks):
+        for i in range(n - 1):
+            rotations.append(transposition_unitary(algebra, b, i, i + 1))
+        if n >= 2:
+            rotations.append(pythagorean_unitary(algebra, b))
+    return SubdiagramSpec(rotations=tuple(rotations), label="adjacent")
+
+
+def adjacent_draws(count, max_coords, seed):
+    """Seeded algebras of at most 3 blocks of size at most 6, with at most
+    max_coords coordinates."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        blocks = [rng.randint(1, 6) for _ in range(rng.randint(1, 3))]
+        if sum(blocks) <= max_coords:
+            out.append(blocks)
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_theorem1_matches_adjacent_transpositions(m):
+    for blocks in adjacent_draws(20, 18, ADJACENT_SEED + m):
+        algebra = MultiMatrixAlgebra(blocks)
+        stabilized, _ = stabilize(algebra, m)
+        want = verify_theorem1(algebra, adjacent_spec(stabilized), m=m)
+        got = verify_theorem1(algebra, m=m)
+        assert want.ok and got.ok, blocks
+        assert got.ktilde_factors == want.ktilde_factors, blocks
+        assert k_tilde_f(stabilized).block_words == \
+            k_tilde_f(stabilized, adjacent_spec(stabilized)).block_words, \
+            blocks
+
+
+def test_conjecture1_matches_adjacent_transpositions():
+    def fields(report):
+        return {f.name: getattr(report, f.name)
+                for f in dataclasses.fields(report) if f.name != "spec_used"}
+
+    for blocks in adjacent_draws(10, 8, ADJACENT_SEED):
+        algebra = MultiMatrixAlgebra(blocks)
+        want = verify_conjecture1(algebra, adjacent_spec(algebra))
+        got = verify_conjecture1(algebra)
+        assert got.ok, blocks
+        assert fields(got) == fields(want), blocks
+
+
+def test_naturality_with_adjacent_domain_spec():
+    rng = random.Random(ACCEPTANCE_SEED)
+    for k in range(50):
+        phi = sample_unital_hom(rng, max_total_dim=6)
+        stabilized, _ = stabilize(phi.domain, 2)
+        rep = verify_naturality_square(phi, adjacent_spec(stabilized), m=2)
+        assert rep.ok, (k, rep.witness)
