@@ -19,10 +19,13 @@ still, and are held in it:
   and conjugates a diagonal projection by permuting its coordinate set.
 
 Any other rotation, such as the Pythagorean (Givens) one or a unitary
-given in a spec, is held by its unitary; it leaves alone every diagonal
-projection that contains all of its support (the coordinates it mixes)
-or none of it, and conjugates the rest by sparse products.  Both forms
-of an element compare and hash alike.  Everything is immutable and pure.
+given in a spec, is held by its unitary u.  Off its support (the
+coordinates it mixes) u is a unimodular diagonal, so it leaves alone
+every diagonal projection that contains all of its support or none of
+it, and conjugates the rest from the support's rows of u* alone.  Both
+forms of an element compare and hash alike; an element that is not a
+diagonal projection hashes by its nonempty rows.  Everything is
+immutable and pure.
 """
 
 from __future__ import annotations
@@ -245,11 +248,20 @@ class AlgebraElement:
         return self._parts == other._parts
 
     def __hash__(self):
-        # a diagonal 0/1 projection hashes by its mask in either form
+        # a diagonal 0/1 projection hashes by its mask in either form;
+        # any other element by its nonempty stored rows, so a rotated
+        # atom costs its nonzeros and its row count, not n^2 entries
         if self._hash is None:
-            mask = self.diag_mask
-            self._hash = hash((self.algebra.blocks,
-                               self._parts if mask is None else mask))
+            key = self.diag_mask
+            if key is None:
+                rows = []
+                offset = 0
+                for part in self._parts:
+                    rows.extend((offset + i, frozenset(row.items()))
+                                for i, row in enumerate(part.sparse) if row)
+                    offset += part.rows
+                key = tuple(rows)
+            self._hash = hash((self.algebra.blocks, key))
         return self._hash
 
     def __repr__(self):
@@ -279,8 +291,9 @@ def diagonal_projection(algebra: MultiMatrixAlgebra, coords) -> AlgebraElement:
     """The diagonal 0/1 projection supported on the given global
     coordinates, in mask form; coordinates outside the algebra are
     ignored."""
+    n = algebra.coord_count
     return AlgebraElement._from_mask(
-        algebra, frozenset(coords).intersection(range(algebra.coord_count)))
+        algebra, frozenset(c for c in coords if 0 <= c < n))
 
 
 def projection_leq(q: AlgebraElement, p: AlgebraElement) -> bool:
@@ -504,7 +517,9 @@ class InnerAutomorphism:
     its coordinates.  A rotation given by its u is checked unitary and
     has coord_perm None; it returns a diagonal projection unchanged when
     the projection's mask contains all of u's support or none of it
-    (see support), and conjugates by sparse products otherwise.
+    (see support), and otherwise builds it from the support's rows of
+    u*.  Any other element is conjugated by sparse products.  Equal
+    rotations have equal supports, which are compared first.
     """
 
     __slots__ = ("algebra", "_u", "_u_adjoint", "name", "coord_perm",
@@ -600,12 +615,43 @@ class InnerAutomorphism:
             raise ValidationError("element and unitary live in different algebras")
         mask = a.diag_mask
         if mask is not None:
+            if self.support <= mask or self.support.isdisjoint(mask):
+                return a
             if self.coord_perm is not None:
                 return AlgebraElement._from_mask(
                     a.algebra, frozenset(self.coord_perm[c] for c in mask))
-            if self.support <= mask or self.support.isdisjoint(mask):
-                return a
+            return self._conjugate_mask(mask)
         return self.u * a * self.u_adjoint
+
+    def _conjugate_mask(self, mask):
+        """u P u* for the diagonal projection P on mask: P off the
+        support S, where u is a unimodular diagonal, plus v_k v_k* for
+        each k in mask and S, where v_k = u e_k is the conjugate of row k
+        of u* and lies in S."""
+        support = self.support
+        parts = []
+        offset = 0
+        for part in self.u_adjoint.parts:
+            n = part.rows
+            rows = [{i: GR_ONE} if offset + i in mask else {}
+                    for i in range(n)]
+            local = [c - offset for c in support if offset <= c < offset + n]
+            for i in local:
+                rows[i] = {}
+            for k in local:
+                if offset + k not in mask:
+                    continue
+                vk = part.sparse[k]
+                for i, x in vk.items():
+                    x, acc = x.conjugate(), rows[i]
+                    for j, y in vk.items():
+                        t = x * y
+                        acc[j] = acc[j] + t if j in acc else t
+            for i in local:
+                rows[i] = {j: e for j, e in rows[i].items() if e}
+            parts.append(ExactMatrix._from_sparse(n, n, rows))
+            offset += n
+        return AlgebraElement(self.algebra, parts)
 
     def inverse(self) -> "InnerAutomorphism":
         name = f"{self.name}^-1"
@@ -625,7 +671,10 @@ class InnerAutomorphism:
         if self.coord_perm is not None and other.coord_perm is not None:
             return (self.algebra == other.algebra
                     and self.coord_perm == other.coord_perm)
-        return self.u == other.u
+        # equal unitaries have equal supports, read without building u
+        # for a permutation rotation
+        return (self.algebra == other.algebra
+                and self.support == other.support and self.u == other.u)
 
     def __hash__(self):
         return hash((self.algebra, self.support))
@@ -662,6 +711,9 @@ def cycle_unitary(algebra: MultiMatrixAlgebra, block: int) -> InnerAutomorphism:
                                          name=f"cycle[b{block}]")
 
 
+_PYTH_COS, _PYTH_SIN = GaussianRational("3/5"), GaussianRational("4/5")
+
+
 def pythagorean_unitary(algebra: MultiMatrixAlgebra, block: int) -> InnerAutomorphism:
     """The rotation [[3/5,4/5],[-4/5,3/5]] on the first two coordinates
     of a block, identity elsewhere; an exactly representable non-permutation
@@ -669,7 +721,7 @@ def pythagorean_unitary(algebra: MultiMatrixAlgebra, block: int) -> InnerAutomor
     n = algebra.blocks[block]
     if n < 2:
         raise ValidationError("Pythagorean rotation needs a block of size >= 2")
-    c, s = GaussianRational("3/5"), GaussianRational("4/5")
+    c, s = _PYTH_COS, _PYTH_SIN
     parts = [ExactMatrix.identity(m) for m in algebra.blocks]
     rows = [{0: c, 1: s}, {0: -s, 1: c}] + [{i: GR_ONE} for i in range(2, n)]
     parts[block] = ExactMatrix._from_sparse(n, n, rows)

@@ -10,11 +10,14 @@ A scalar is held as an integer triple (n + m*i)/d with d > 0 and
 gcd(n, m, d) = 1, so each arithmetic step is a few integer products and
 one gcd, and structural equality of triples is exact equality.
 
-A matrix is held as its rows of nonzero entries, so a product, a
-unitarity check or a conjugation costs the entries it touches: a Givens
-rotation of an n-coordinate block has n + 2 of them, not n^2.  Dense
-input is accepted and validated.  The hash, JSON, repr and the dense
-entries tuple are those of the dense row-major form.
+A matrix is held as its rows of nonzero entries, so a product costs the
+entries it touches: a Givens rotation of an n-coordinate block has
+n + 2 of them, not n^2.  The unitarity check pairs only the rows of the
+support (the indices whose row or column holds an off-diagonal entry)
+and checks each other row for one unimodular diagonal entry, building
+no adjoint or product.  Dense input is accepted and validated.  The
+hash, JSON, repr and the dense entries tuple are those of the dense
+row-major form.
 
 All values are immutable after construction and all operations are pure,
 so they can be shared freely between threads.
@@ -386,10 +389,36 @@ class ExactMatrix:
         return not any(self.sparse)
 
     def is_unitary(self) -> bool:
-        """m m* = I."""
+        """m m* = I, read off the support S: the indices whose row or
+        column holds an off-diagonal entry.  A row outside S must hold
+        one diagonal entry of modulus 1; the rows in S meet only columns
+        in S, and their Gram matrix must be the identity."""
         if self.rows != self.cols:
             raise ValidationError("a unitary must be square")
-        return self * self.adjoint() == ExactMatrix.identity(self.rows)
+        sparse = self.sparse
+        support = set()
+        for i, row in enumerate(sparse):
+            x = row.get(i)
+            if x is None or len(row) != 1:
+                support.update(row)
+                support.add(i)
+            elif x.n * x.n + x.m * x.m != x.d * x.d:
+                return False
+        # each pair of rows of S that meet in a column is paired once,
+        # when the later of the two is reached
+        holders = {}
+        for i in support:
+            row = sparse[i]
+            for j, e in row.items():
+                holders.setdefault(j, []).append((i, e.conjugate()))
+            gram = {}
+            for j, a in row.items():
+                for k, b in holders[j]:
+                    t = a * b
+                    gram[k] = gram[k] + t if k in gram else t
+            if gram.pop(i, None) != GR_ONE or any(gram.values()):
+                return False
+        return True
 
     def classify(self) -> MatrixClass:
         """projection iff m = m* = m^2; unitary iff m m* = I."""

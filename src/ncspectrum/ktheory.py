@@ -135,10 +135,15 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
     partitions, finest) and their rotated copies.  Edges: covering
     refinement inclusions among the base nodes (mirrored into each
     rotated sheet) and a rotation edge per rotation at every base node,
-    except a loop with the identity map, which gives no relation.  A
-    rotation that moves the finest atoms as an earlier one does gets no
-    nodes or edges of its own; its meta["rotation_edges"] entries name
-    the earlier rotation's edges.  Node and edge order is deterministic.
+    except a loop with the identity map, which gives no relation.
+
+    A rotation moves exactly the finest atoms of its support, so one
+    with empty support is dropped, and one that moves the atoms of its
+    support as an earlier one does gets no nodes or edges of its own;
+    its meta["rotation_edges"] entries name the earlier rotation's
+    edges.  Only the atoms a rotation moves are conjugated, and a
+    permutation rotation moves a diagonal atom onto one already built
+    when there is one.  Node and edge order is deterministic.
     """
     if spec is None:
         spec = SubdiagramSpec.default(algebra)
@@ -164,30 +169,46 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
         parts_by_id[nid] = parts
     fine_id = "d:" + partition_label(finest)
 
-    # a rotation that moves no finest atom is dropped; one that moves them
-    # as an earlier one does moves every base atom (a sum of finest atoms)
-    # so too, and shares that rotation's nodes and edges
-    kept, fine_images, first = [], [], []
-    first_by_images = {}
+    # a unitary moves the finest atom of c iff c is in its support (off
+    # it, u is a unimodular diagonal).  One that moves them as an
+    # earlier one does moves every base atom (a sum of finest atoms) so
+    # too, and shares that rotation's nodes and edges; the sharing key
+    # writes a diagonal image as its coordinate, as a permutation does.
+    by_mask = {p.diag_mask: p for bid in base_ids
+               for p in node_data[bid].atoms}
+
+    def image(alpha, p):
+        # a diagonal image is the atom already emitted with its mask
+        q = alpha.conjugate(p)
+        mask = q.diag_mask
+        return q if q is p or mask is None else by_mask.setdefault(mask, q)
+
+    kept, fine_moves, first = [], [], []
+    first_by_moves = {}
     fine_atoms = node_data[fine_id].atoms
     for alpha in spec.rotations:
         if alpha.algebra != algebra:
             raise ValidationError("rotation lives in a different algebra")
-        images = tuple(alpha.conjugate(p) for p in fine_atoms)
-        if images != fine_atoms:
-            first.append(first_by_images.setdefault(images, len(kept)))
-            kept.append(alpha)
-            fine_images.append(images)
+        support, perm = alpha.support, alpha.coord_perm
+        if not support:
+            continue
+        moves = {c: fine_atoms[perm[c]] if perm is not None else
+                 image(alpha, fine_atoms[c]) for c in support}
+        key = frozenset((c, min(q.diag_mask) if q.diag_mask else q)
+                        for c, q in moves.items())
+        first.append(first_by_moves.setdefault(key, len(kept)))
+        kept.append(alpha)
+        fine_moves.append(moves)
     generating = [r for r, f in enumerate(first) if f == r]
 
     # rotated copies; placement maps raw conjugate order to node atom order
     placements = {}
     for r in generating:
-        alpha = kept[r]
+        alpha, moves = kept[r], fine_moves[r]
         for bid in base_ids:
             u = node_data[bid]
-            raw = fine_images[r] if bid == fine_id else tuple(
-                alpha.conjugate(p) for p in u.atoms)
+            raw = tuple(moves.get(c, p) for c, p in enumerate(u.atoms)) \
+                if bid == fine_id else tuple(image(alpha, p) for p in u.atoms)
             key = frozenset(raw)
             tid = by_key.get(key)
             if tid is None:
