@@ -61,6 +61,8 @@ def _load_spec_arg(arg, algebra):
 def cmd_k0(args, out) -> int:
     algebra = _load_algebra_arg(args.algebra)
     if args.method == "standard":
+        if args.spec:
+            raise ValidationError("--spec needs --method diagram")
         group = k0_standard(algebra)
     else:
         stabilized, _ = stabilize(algebra, args.stabilize)
@@ -90,7 +92,9 @@ def cmd_verify(args, out) -> int:
             raise ValidationError(
                 f"the hom's domain has blocks {list(hom.domain.blocks)}, "
                 f"--algebra has blocks {list(algebra.blocks)}")
-        report = verify_naturality_square(hom, m=args.stabilize or 1)
+        m = args.stabilize or 1
+        spec = _load_spec_arg(args.spec, stabilize(algebra, m)[0])
+        report = verify_naturality_square(hom, spec, m=m)
         result["naturality"] = {"ok": report.ok, "witness": report.witness}
         text.append(f"naturality square: {'PASS' if report.ok else 'FAIL'}")
         if not report.ok:

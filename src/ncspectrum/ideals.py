@@ -27,7 +27,7 @@ from .algebra import MultiMatrixAlgebra
 from .diagram import ShapedDiagram, postcompose
 from .errors import ValidationError, as_int
 from .lattices import MeetSemilattice, compatible_masks, limit_semilattice
-from .subalgebra import CommSubalgebra, SpectrumFunctor
+from .subalgebra import CommSubalgebra, SpectrumFunctor, spectrum
 from .ktheory import SubdiagramSpec, build_subdiagram
 
 
@@ -72,19 +72,13 @@ def _indices(mask: int) -> frozenset:
     return frozenset(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _incidence(arrow):
-    """For each codomain atom of an edge, the index of the domain atom
-    whose image it lies under, read from the edge's spectrum map."""
-    q = arrow.spectrum_map()
-    return [q.target.position(q.assignment[p]) for p in q.source.points]
-
-
 def _atom_rule(edge, arrow):
     """(target, source, needs): an atom t is chosen at the target iff all
     atoms of the mask needs[t] are chosen at the source.  An atom of U
     needs the atoms of V under it along an inclusion U -> V, an atom of
-    alpha(U) its preimage along a rotation U -> alpha(U)."""
-    incidence = _incidence(arrow)
+    alpha(U) its preimage along a rotation U -> alpha(U).  The edge's
+    spectrum map gives, per codomain atom, the domain atom over it."""
+    incidence = arrow.spectrum_map().index
     if arrow.kind == "inclusion":
         needs = [0] * arrow.domain.natoms
         for j, i in enumerate(incidence):
@@ -283,10 +277,9 @@ def verify_conjecture1(algebra: MultiMatrixAlgebra,
     for family in lattice.elements:
         choice = {}
         for n, closed in zip(nodes, family):
-            node = dia.node_data[n]
-            chosen = frozenset(i for i in range(node.natoms)
-                               if f"p{i}" not in closed)
-            choice[n] = chosen
+            points = spectrum(dia.node_data[n]).points
+            choice[n] = frozenset(i for i, p in enumerate(points)
+                                  if p not in closed)
         partial = PartialIdeal(dia, choice)
         rec = reconstruct_total(partial)
         if not rec:

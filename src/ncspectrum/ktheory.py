@@ -58,9 +58,9 @@ def K_of_map(q: SpaceMap) -> AbHom:
     Sends the generator at a target point to the sum of generators over
     its preimage (pullback of trivial bundles).
     """
-    words = [{} for _ in q.target.points]
-    for x, p in enumerate(q.source.points):
-        words[q.target.position(q.assignment[p])][x] = 1
+    words = [{} for _ in range(q.target.size)]
+    for x, y in enumerate(q.index):
+        words[y][x] = 1
     return AbHom._trusted(K_of_space(q.target), K_of_space(q.source), words)
 
 
@@ -232,12 +232,10 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
             return
         incl_pairs.add((src, dst))
         eid = f"i:{src}=>{dst}"
-        arrow = SubalgebraArrow.inclusion(node_data[src], node_data[dst],
-                                          validate=False)
-        if spectrum_cache is not None:
-            arrow._spectrum_map = spectrum_cache
         edges.append((eid, src, dst))
-        edge_data[eid] = arrow
+        edge_data[eid] = SubalgebraArrow(
+            node_data[src], node_data[dst], node_data[src].atoms,
+            kind="inclusion", spectrum_cache=spectrum_cache)
 
     # base inclusion edges: the covering pairs of the refinement order
     finer = {(s, t) for s in base_ids for t in base_ids
@@ -255,16 +253,12 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
             t2, pt, _ = placements[(r, tid)]
             if s2 == t2 or (s2, t2) in incl_pairs:
                 continue
-            base_arrow = edge_data[f"i:{sid}=>{tid}"]
-            base_map = base_arrow.spectrum_map()
-            assignment = {}
-            for pj, pi in base_map.assignment.items():
-                j = int(pj[1:])
-                i = int(pi[1:])
-                assignment[f"p{pt[j]}"] = f"p{ps[i]}"
-            cache = SpaceMap(spectrum(node_data[t2]), spectrum(node_data[s2]),
-                             assignment)
-            add_inclusion(s2, t2, spectrum_cache=cache)
+            index = [0] * len(pt)
+            base_map = edge_data[f"i:{sid}=>{tid}"].spectrum_map()
+            for j, i in enumerate(base_map.index):
+                index[pt[j]] = ps[i]
+            add_inclusion(s2, t2, spectrum_cache=SpaceMap(
+                spectrum(node_data[t2]), spectrum(node_data[s2]), index))
 
     # rotation edges; a loop with the identity placement gives only zero
     # relations and is left out
@@ -280,15 +274,10 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
             if tid == bid and raw == node_data[bid].atoms:
                 continue
             eid = f"t{r}:{bid}"
-            assignment = {f"p{placement[i]}": f"p{i}"
-                          for i in range(len(placement))}
-            cache = SpaceMap(spectrum(node_data[tid]),
-                             spectrum(node_data[bid]), assignment)
-            arrow = SubalgebraArrow(node_data[bid], node_data[tid], raw,
-                                    kind="rotation", unitary=alpha,
-                                    spectrum_cache=cache)
             edges.append((eid, bid, tid))
-            edge_data[eid] = arrow
+            edge_data[eid] = SubalgebraArrow(node_data[bid], node_data[tid],
+                                             raw, kind="rotation",
+                                             unitary=alpha)
             rotation_edges[(r, bid)] = eid
 
     shape = Shape(node_ids, edges)

@@ -348,8 +348,8 @@ def limit_semilattice(diagram: ShapedDiagram) -> MeetSemilattice:
     for e in diagram.shape.edges:
         q = diagram.edge_data[e.id]
         over = [0] * q.target.size  # point y is in the image iff some x is
-        for x, p in enumerate(q.source.points):
-            over[q.target.position(q.assignment[p])] |= 1 << x
+        for x, y in enumerate(q.index):
+            over[y] |= 1 << x
         links.append((index[e.src], index[e.dst], over, True))
     subsets = [_subset_of(space.points) for space in spaces]
     families = [

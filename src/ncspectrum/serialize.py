@@ -31,11 +31,13 @@ def load_json_argument(text_or_path: str):
             raise ValidationError(f"invalid inline JSON: {exc}") from exc
     if not os.path.exists(text_or_path):
         raise ValidationError(f"no such file: {text_or_path}")
-    with open(text_or_path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(text_or_path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{text_or_path}: invalid JSON: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{text_or_path}: invalid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ValidationError(f"{text_or_path}: cannot read: {exc}") from exc
 
 
 def load_algebra(data) -> MultiMatrixAlgebra:
@@ -54,10 +56,6 @@ def dump_algebra(algebra: MultiMatrixAlgebra):
 
 def load_matrix(data) -> ExactMatrix:
     return ExactMatrix.from_json(data)
-
-
-def dump_matrix(matrix: ExactMatrix):
-    return matrix.to_json()
 
 
 def load_element(data, algebra: MultiMatrixAlgebra) -> AlgebraElement:

@@ -8,7 +8,9 @@ one point per atom.
 Morphisms between subalgebras (inclusions, unitary rotations, and
 restrictions of *-homomorphisms) are all represented by a single arrow
 type that records the image of each atom; taking spectra is the
-contravariant passage from such an arrow to a map of point sets.
+contravariant passage from such an arrow to a map of point sets, held
+as the target position of each source point.  Point labels (p0, p1, ...
+from spectrum, or a file's own) are for input and display only.
 """
 
 from __future__ import annotations
@@ -99,11 +101,16 @@ class CommSubalgebra:
                 for p in self.atoms)
         return self._supports
 
-    def atom_index(self, p: AlgebraElement) -> int:
+    @property
+    def positions(self) -> dict:
+        """The position of each atom in atom order."""
         if self._index is None:
             self._index = {a: i for i, a in enumerate(self.atoms)}
+        return self._index
+
+    def atom_index(self, p: AlgebraElement) -> int:
         try:
-            return self._index[p]
+            return self.positions[p]
         except KeyError:
             raise ValidationError("projection is not an atom of this subalgebra")
 
@@ -180,17 +187,14 @@ class FiniteSpace:
 
     def __init__(self, points):
         points = tuple(points)
-        if len(set(points)) != len(points):
+        self._pos = {p: i for i, p in enumerate(points)}
+        if len(self._pos) != len(points):
             raise ValidationError("point labels must be distinct")
         self.points = points
-        self._pos = {p: i for i, p in enumerate(points)}
 
     @property
     def size(self) -> int:
         return len(self.points)
-
-    def position(self, label) -> int:
-        return self._pos[label]
 
     def __eq__(self, other):
         if not isinstance(other, FiniteSpace):
@@ -205,20 +209,32 @@ class FiniteSpace:
 
 
 class SpaceMap:
-    """A function between finite spaces, given pointwise."""
+    """A function between finite spaces, held as target positions.
 
-    __slots__ = ("source", "target", "assignment")
+    index[x] is the position in target.points of the image of source
+    point x.  Built from those positions or from a dict of labels, both
+    validated; assignment reads the map back as labels."""
+
+    __slots__ = ("source", "target", "index")
 
     def __init__(self, source: FiniteSpace, target: FiniteSpace, assignment):
-        assignment = dict(assignment)
-        if set(assignment) != set(source.points):
-            raise ValidationError("assignment must cover every source point")
-        for v in assignment.values():
-            if v not in target._pos:
-                raise ValidationError(f"unknown target point {v!r}")
+        if isinstance(assignment, dict):
+            if assignment.keys() != source._pos.keys():
+                raise ValidationError(
+                    "assignment must cover every source point")
+            for v in assignment.values():
+                if v not in target._pos:
+                    raise ValidationError(f"unknown target point {v!r}")
+            assignment = [target._pos[assignment[p]] for p in source.points]
+        index = tuple(assignment)
+        # every position a plain int, which a bool is not
+        if len(index) != source.size or not set(map(type, index)) <= {int} or (
+                index and not 0 <= min(index) <= max(index) < target.size):
+            raise ValidationError(f"a space map needs one target position "
+                                  f"in range({target.size}) per source point")
         self.source = source
         self.target = target
-        self.assignment = assignment
+        self.index = index
 
     # diagram machinery expects .domain/.codomain
     @property
@@ -229,35 +245,39 @@ class SpaceMap:
     def codomain(self):
         return self.target
 
+    @property
+    def assignment(self) -> dict:
+        """The map as a dict from source labels to target labels."""
+        points = self.target.points
+        return {p: points[y] for p, y in zip(self.source.points, self.index)}
+
     @classmethod
     def identity(cls, space: FiniteSpace) -> "SpaceMap":
-        return cls(space, space, {p: p for p in space.points})
-
-    def __call__(self, point):
-        return self.assignment[point]
+        return cls(space, space, range(space.size))
 
     def compose(self, other: "SpaceMap") -> "SpaceMap":
         """self after other."""
         if other.target != self.source:
             raise ValidationError("space maps do not chain")
         return SpaceMap(other.source, self.target,
-                        {p: self.assignment[q] for p, q in other.assignment.items()})
+                        [self.index[y] for y in other.index])
 
     def is_surjective(self) -> bool:
-        return set(self.assignment.values()) == set(self.target.points)
+        return len(set(self.index)) == self.target.size
 
     def image(self, points) -> frozenset:
-        return frozenset(self.assignment[p] for p in points)
+        """The target labels of the images of some source labels."""
+        pos, index = self.source._pos, self.index
+        return frozenset(self.target.points[index[pos[p]]] for p in points)
 
     def __eq__(self, other):
         if not isinstance(other, SpaceMap):
             return NotImplemented
         return (self.source == other.source and self.target == other.target
-                and self.assignment == other.assignment)
+                and self.index == other.index)
 
     def __hash__(self):
-        return hash((self.source, self.target,
-                     tuple(sorted(self.assignment.items()))))
+        return hash((self.source, self.target, self.index))
 
     def __repr__(self):
         return f"SpaceMap({self.assignment})"
@@ -304,17 +324,16 @@ class SubalgebraArrow:
         return cls(u, u, u.atoms, kind="inclusion")
 
     @classmethod
-    def inclusion(cls, u: CommSubalgebra, v: CommSubalgebra,
-                  validate=True) -> "SubalgebraArrow":
+    def inclusion(cls, u: CommSubalgebra,
+                  v: CommSubalgebra) -> "SubalgebraArrow":
         """The inclusion U -> V; requires every atom of U to be a sum of
         atoms of V."""
         if u.algebra != v.algebra:
             raise ValidationError("subalgebras live in different algebras")
-        if validate:
-            for p in u.atoms:
-                if not v.contains_projection(p):
-                    raise ValidationError(
-                        "not an inclusion: an atom is not a sum of codomain atoms")
+        for p in u.atoms:
+            if not v.contains_projection(p):
+                raise ValidationError(
+                    "not an inclusion: an atom is not a sum of codomain atoms")
         return cls(u, v, u.atoms, kind="inclusion")
 
     @classmethod
@@ -363,26 +382,23 @@ class SubalgebraArrow:
         atom Q to the point of the unique domain atom P with image
         dominating Q."""
         if self._spectrum_map is None:
-            src = spectrum(self.codomain)
-            dst = spectrum(self.domain)
-            assignment = {}
             # exact-match shortcut for images that are codomain atoms
-            by_value = {}
+            index = [None] * self.codomain.natoms
+            positions = self.codomain.positions
             for i, img in enumerate(self.images):
-                if not img.is_zero() and img not in by_value:
-                    by_value[img] = i
+                j = positions.get(img)
+                if j is not None and index[j] is None:
+                    index[j] = i
             for j, q in enumerate(self.codomain.atoms):
-                hit = by_value.get(q)
-                if hit is None:
-                    for i, img in enumerate(self.images):
-                        if not img.is_zero() and projection_leq(q, img):
-                            hit = i
-                            break
-                if hit is None:
-                    raise ValidationError(
-                        "codomain atom not dominated by any atom image")
-                assignment[f"p{j}"] = f"p{hit}"
-            self._spectrum_map = SpaceMap(src, dst, assignment)
+                if index[j] is None:
+                    index[j] = next((i for i, img in enumerate(self.images)
+                                     if not img.is_zero()
+                                     and projection_leq(q, img)), None)
+                    if index[j] is None:
+                        raise ValidationError(
+                            "codomain atom not dominated by any atom image")
+            self._spectrum_map = SpaceMap(spectrum(self.codomain),
+                                          spectrum(self.domain), index)
         return self._spectrum_map
 
     def __eq__(self, other):

@@ -217,6 +217,62 @@ class TestInvalidInput:
         assert "[2]" in text and "[1]" in text
         assert "naturality" not in text
 
+    def test_hom_with_bad_spec_key_exit_one(self):
+        hom = ('{"domain":{"blocks":[1]},"codomain":{"blocks":[2]},'
+               '"multiplicity":[[2]]}')
+        code, text = run_cli("verify", "theorem1", "--algebra",
+                             '{"blocks":[1]}', "--hom", hom,
+                             "--spec", '{"bogus": 1}')
+        assert code == 1
+        assert text.startswith("error: ")
+        assert "'bogus'" in text
+        assert "naturality" not in text
+
+    def test_hom_spec_reaches_the_naturality_square(self, monkeypatch):
+        seen = []
+        real = cli.verify_naturality_square
+
+        def spy(phi, spec=None, m=1):
+            seen.append((spec, m))
+            return real(phi, spec, m=m)
+
+        monkeypatch.setattr(cli, "verify_naturality_square", spy)
+        hom = ('{"domain":{"blocks":[1]},"codomain":{"blocks":[2]},'
+               '"multiplicity":[[2]]}')
+        code, text = run_cli("verify", "theorem1", "--algebra",
+                             '{"blocks":[1]}', "--hom", hom,
+                             "--stabilize", "2",
+                             "--spec", '{"label": "mine"}')
+        assert code == 0
+        assert "naturality square: PASS" in text
+        [(spec, m)] = seen
+        assert m == 2
+        assert spec.label == "mine"
+        assert spec.rotations
+        assert {r.algebra.blocks for r in spec.rotations} == {(2,)}
+
+    def test_spec_needs_the_diagram_method(self):
+        code, text = run_cli("k0", "--algebra", '{"blocks":[2]}',
+                             "--method", "standard",
+                             "--spec", '{"partitions": []}')
+        assert code == 1
+        assert text.startswith("error: ")
+        assert "--spec" in text and "--method diagram" in text
+
+    def test_directory_argument_exit_one(self, tmp_path):
+        code, text = run_cli("k0", "--algebra", str(tmp_path))
+        assert code == 1
+        assert text.startswith("error: ")
+        assert str(tmp_path) in text
+
+    def test_non_utf8_file_exit_one(self, tmp_path):
+        path = tmp_path / "algebra.json"
+        path.write_bytes(b'{"blocks": [\xff]}')
+        code, text = run_cli("k0", "--algebra", str(path))
+        assert code == 1
+        assert text.startswith("error: ")
+        assert str(path) in text
+
 
 class TestVerifyCommand:
     def test_theorem1_pass(self):

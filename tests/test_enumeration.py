@@ -37,7 +37,7 @@ from ncspectrum import (MultiMatrixAlgebra, PartialIdeal, ShapedDiagram,
                         total_ideal_lattice, verify_conjecture1)
 from ncspectrum.algebra import projection_leq
 from ncspectrum.cli import main
-from ncspectrum.ideals import _atom_rule, _incidence
+from ncspectrum.ideals import _atom_rule
 from ncspectrum.lattices import (MeetSemilattice, _closed_set_rank,
                                  compatible_masks)
 from ncspectrum.serialize import load_spec
@@ -411,7 +411,7 @@ def test_spectrum_map_incidence_matches_projection_leq(name):
     for e in dia.shape.edges:
         arrow = dia.edge_data[e.id]
         kinds.add(arrow.kind)
-        under = _incidence(arrow)
+        under = arrow.spectrum_map().index
         if arrow.kind == "inclusion":
             want = [[i for i, p in enumerate(arrow.domain.atoms)
                      if projection_leq(q, p)] for q in arrow.codomain.atoms]

@@ -8,7 +8,7 @@ from ncspectrum import serialize
 
 
 def dump_element(element):
-    return {"parts": [serialize.dump_matrix(p) for p in element.parts]}
+    return {"parts": [p.to_json() for p in element.parts]}
 
 
 def load_subalgebra(data):
