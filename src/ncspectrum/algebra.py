@@ -168,12 +168,6 @@ class AlgebraElement:
         ma, mb = self._known_mask(), other._known_mask()
         if ma is not None and mb is not None:
             return AlgebraElement._from_mask(self.algebra, ma & mb)
-        if ma is not None:
-            return AlgebraElement(self.algebra,
-                                  _keep_lines(other.parts, ma, rows=True))
-        if mb is not None:
-            return AlgebraElement(self.algebra,
-                                  _keep_lines(self.parts, mb, rows=False))
         return AlgebraElement(self.algebra,
                               [a * b for a, b in zip(self.parts, other.parts)])
 
@@ -266,25 +260,6 @@ class AlgebraElement:
 
     def __repr__(self):
         return f"AlgebraElement({self.algebra}, {list(self.parts)})"
-
-
-def _keep_lines(parts, mask, rows):
-    """The block matrices with every row (rows=True) or every column
-    outside the global coordinate set mask zeroed: P x or x P for the
-    diagonal projection P on mask."""
-    out = []
-    offset = 0
-    for part in parts:
-        n = part.rows
-        if rows:
-            kept = (row if offset + i in mask else {}
-                    for i, row in enumerate(part.sparse))
-        else:
-            kept = ({j: e for j, e in row.items() if offset + j in mask}
-                    for row in part.sparse)
-        out.append(ExactMatrix._from_sparse(n, n, kept))
-        offset += n
-    return out
 
 
 def diagonal_projection(algebra: MultiMatrixAlgebra, coords) -> AlgebraElement:
@@ -607,9 +582,6 @@ class InnerAutomorphism:
             self._support = frozenset(support)
         return self._support
 
-    def __call__(self, a: AlgebraElement) -> AlgebraElement:
-        return self.conjugate(a)
-
     def conjugate(self, a: AlgebraElement) -> AlgebraElement:
         if a.algebra != self.algebra:
             raise ValidationError("element and unitary live in different algebras")
@@ -732,8 +704,8 @@ def pythagorean_unitary(algebra: MultiMatrixAlgebra, block: int) -> InnerAutomor
 def stabilize(algebra: MultiMatrixAlgebra, m: int, hom: StarHom | None = None):
     """Tensor with an m x m matrix tower: blocks [n1*m .. nk*m].
 
-    A given hom is carried along with the same multiplicity matrix on
-    the enlarged blocks, realizing phi tensor id.
+    A given hom is carried along with the same multiplicity matrix and
+    slot assignment on the enlarged blocks, realizing phi tensor id.
     """
     if m < 1:
         raise ValidationError("stabilization level must be >= 1")
@@ -743,7 +715,8 @@ def stabilize(algebra: MultiMatrixAlgebra, m: int, hom: StarHom | None = None):
     if hom.domain != algebra:
         raise ValidationError("hom domain does not match the algebra")
     cod = MultiMatrixAlgebra([n * m for n in hom.codomain.blocks])
-    return out, StarHom(out, cod, hom.multiplicity, unital=hom.unital)
+    return out, StarHom(out, cod, hom.multiplicity, unital=hom.unital,
+                        assignment=hom.assignment)
 
 
 def unitalize(algebra: MultiMatrixAlgebra):

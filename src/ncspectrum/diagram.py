@@ -202,9 +202,12 @@ class DiagramMorphism:
 
 def find_naturality_failure(m: DiagramMorphism, d1: ShapedDiagram,
                             d2: ShapedDiagram):
-    """First edge id whose naturality square fails, or None."""
-    if d1.variance != d2.variance:
-        raise ValidationError("diagrams must share a variance")
+    """First edge id u: a -> b whose square eta_b . D1(u) = D2(f u) . eta_a
+    fails, or None.  Both diagrams must be covariant and the morphism
+    must point forward."""
+    if not (d1.variance == d2.variance == COVARIANT and m.direction == FORWARD):
+        raise ValidationError("naturality is checked for a forward morphism "
+                              "of covariant diagrams")
     for e in d1.shape.edges:
         if e.id not in m.edge_map:
             raise ValidationError(f"morphism missing image for edge {e.id}")
@@ -215,21 +218,8 @@ def find_naturality_failure(m: DiagramMorphism, d1: ShapedDiagram,
             raise ValidationError(
                 f"image path of edge {e.id} runs {start}->{end}, expected {fa}->{fb}"
             )
-        du = d1.edge_data[e.id]
-        dfu = d2.compose_path(path, fa)
-        if d1.variance == COVARIANT and m.direction == FORWARD:
-            # eta_b . D1(u) = D2(f u) . eta_a
-            lhs = m.components[e.dst].compose(du)
-            rhs = dfu.compose(m.components[e.src])
-        elif d1.variance == CONTRAVARIANT and m.direction == BACKWARD:
-            # eta_a . D2(f u) = D1(u) . eta_b, both D2(f b) -> D1(a)
-            lhs = m.components[e.src].compose(dfu)
-            rhs = du.compose(m.components[e.dst])
-        else:
-            raise ValidationError(
-                f"unsupported variance/direction pair "
-                f"({d1.variance}, {m.direction})"
-            )
+        lhs = m.components[e.dst].compose(d1.edge_data[e.id])
+        rhs = d2.compose_path(path, fa).compose(m.components[e.src])
         if not maps_equal(lhs, rhs):
             return e.id
     return None

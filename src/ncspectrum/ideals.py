@@ -303,7 +303,6 @@ def verify_conjecture1(algebra: MultiMatrixAlgebra,
     # (b) independent atom-level enumeration + round trips
     partials = enumerate_partial_ideals(dia, rotation_fixed=True)
     round_trip_ok = True
-    seen_ideals = set()
     for partial in partials:
         rec = reconstruct_total(partial)
         if not rec:
@@ -316,7 +315,6 @@ def verify_conjecture1(algebra: MultiMatrixAlgebra,
             round_trip_ok = False
             witness = witness or {"reason": "restriction round trip failed",
                                   "ideal": sorted(rec.ideal.blocks)}
-        seen_ideals.add(rec.ideal)
     for ideal in ideals.elements:
         induced = partial_from_total(ideal, dia)
         if not induced.is_compatible() or not is_rotation_fixed(induced):

@@ -37,7 +37,7 @@ from .errors import (SubdiagramInsufficientError, ValidationError,
 from .snf import IntegerRowLattice
 from .subalgebra import (CommSubalgebra, FiniteSpace, SpaceMap,
                          SpectrumFunctor, SubalgebraArrow,
-                         partition_subalgebra, span_subalgebra, spectrum)
+                         partition_subalgebra, spectrum)
 
 
 def K_of_space(space: FiniteSpace) -> PresentedAbGroup:
@@ -334,8 +334,9 @@ class K0Group:
         return tuple(word)
 
     def class_of_projection(self, p: AlgebraElement):
-        """Colimit class of a projection, resolved through its span
-        subalgebra when that node is present in the sampled diagram."""
+        """Colimit class of a projection: the sum of the classes of the
+        atoms under p at the first node, in node order, whose atoms under
+        p sum to p.  Zero and the identity resolve at the coarsest node."""
         ctx = self.context
         if ctx is None:
             return self.class_of(p.rank_vector())
@@ -343,35 +344,13 @@ class K0Group:
             raise ValidationError("projection lives in a different algebra")
         if not p.is_projection():
             raise ValidationError("class_of_projection needs a projection")
-        total = self.group.ngens
-        if p.is_zero():
-            return (0,) * total
         dia = ctx.diagram
-        span = span_subalgebra(ctx.algebra, [p])
-        nid = dia.meta["by_key"].get(span.key)
-        if nid is not None:
-            node = dia.node_data[nid]
-            pos = ctx.colim.offsets[nid] + node.atom_index(p)
-            word = [0] * total
-            word[pos] = 1
-            return tuple(word)
-        if p.diag_mask is not None:
-            fine = dia.meta["fine"]
-            off = ctx.colim.offsets[fine]
-            word = [0] * total
-            for c in p.diag_mask:
-                word[off + c] += 1
-            return tuple(word)
         for nid in dia.shape.nodes:
-            node = dia.node_data[nid]
-            dominated = [i for i, a in enumerate(node.atoms) if a * p == a]
-            total_proj = ctx.algebra.zero()
-            for i in dominated:
-                total_proj = total_proj + node.atoms[i]
-            if total_proj == p:
+            under = dia.node_data[nid].atoms_under(p)
+            if under is not None:
                 off = ctx.colim.offsets[nid]
-                word = [0] * total
-                for i in dominated:
+                word = [0] * self.group.ngens
+                for i in under:
                     word[off + i] += 1
                 return tuple(word)
         raise SubdiagramInsufficientError(
@@ -430,8 +409,8 @@ def k_tilde_f(algebra: MultiMatrixAlgebra, spec: SubdiagramSpec | None = None,
     """Colimit of K over the spectra of the sampled subdiagram.
 
     The returned group's rank-vector classes anchor at the diagonal
-    rank-1 projections of the finest node; explicit projections resolve
-    through their span subalgebras.
+    rank-1 projections of the finest node; an explicit projection
+    resolves at the first node whose atoms under it sum to it.
     """
     dia = diagram if diagram is not None else build_subdiagram(algebra, spec)
     ab, _ = _ab_diagram(dia)
@@ -447,10 +426,6 @@ class EtaResult:
     k0: K0Group
     ktilde: K0Group
     m: int
-
-    @property
-    def images(self):
-        return self.hom.images
 
 
 def _generator_rank_table(kt: K0Group):

@@ -104,12 +104,19 @@ def load_hom(data) -> StarHom:
 
 
 def dump_hom(hom: StarHom):
-    return {
+    """The hom's JSON; "assignment" is written only when it differs from
+    the default slot order."""
+    data = {
         "domain": dump_algebra(hom.domain),
         "codomain": dump_algebra(hom.codomain),
         "multiplicity": [list(r) for r in hom.multiplicity],
         "unital": hom.unital,
     }
+    default = StarHom(hom.domain, hom.codomain, hom.multiplicity, hom.unital)
+    if hom.assignment != default.assignment:
+        data["assignment"] = [[list(slot) for slot in row]
+                              for row in hom.assignment]
+    return data
 
 
 SPEC_KEYS = ("rotations", "partitions", "label")

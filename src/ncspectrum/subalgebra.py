@@ -114,13 +114,18 @@ class CommSubalgebra:
         except KeyError:
             raise ValidationError("projection is not an atom of this subalgebra")
 
+    def atoms_under(self, p: AlgebraElement):
+        """The indices of the atoms under projection p when they sum to
+        p, i.e. when p lies in the span; else None."""
+        under = [i for i, a in enumerate(self.atoms) if projection_leq(a, p)]
+        total = self.algebra.zero()
+        for i in under:
+            total = total + self.atoms[i]
+        return under if total == p else None
+
     def contains_projection(self, p: AlgebraElement) -> bool:
         """Whether p lies in the span, i.e. equals a sum of atoms."""
-        dominated = [a for a in self.atoms if projection_leq(a, p)]
-        total = self.algebra.zero()
-        for a in dominated:
-            total = total + a
-        return total == p
+        return self.atoms_under(p) is not None
 
     def __eq__(self, other):
         if not isinstance(other, CommSubalgebra):

@@ -6,7 +6,8 @@ from ncspectrum import (AlgebraElement, ExactMatrix, GaussianRational,
                         InnerAutomorphism, MultiMatrixAlgebra, StarHom,
                         ValidationError, cycle_unitary, diagonal_projection,
                         pythagorean_unitary, sample_unital_hom, stabilize,
-                        transposition_unitary, unitalize)
+                        transposition_unitary, unitalize,
+                        verify_naturality_square)
 
 M2 = MultiMatrixAlgebra([2])
 M23 = MultiMatrixAlgebra([2, 3])
@@ -195,6 +196,53 @@ class TestStabilize:
     def test_invalid_level(self):
         with pytest.raises(ValidationError):
             stabilize(M2, 0)
+
+    @staticmethod
+    def swapped_hom():
+        """[1, 2] -> [3] placing block 1 before block 0."""
+        return StarHom(MultiMatrixAlgebra([1, 2]), MultiMatrixAlgebra([3]),
+                       [[1, 1]], unital=True, assignment=[[(1, 0), (0, 0)]])
+
+    def test_level_one_gives_back_the_hom(self):
+        phi = self.swapped_hom()
+        assert stabilize(phi.domain, 1, phi)[1] == phi
+
+    @staticmethod
+    def assert_copies_follow_slots(phi, m):
+        # copy t of stabilized coordinate m c + t lands at m d + t for
+        # every image d of c, in phi's slot order
+        _, phi_m = stabilize(phi.domain, m, phi)
+        assert phi_m.assignment == phi.assignment
+        for c, images in enumerate(phi.coord_map):
+            for t in range(m):
+                assert phi_m.coord_map[m * c + t] == tuple(
+                    m * d + t for d in images)
+
+    def test_assignment_is_carried(self):
+        phi = self.swapped_hom()
+        assert phi.coord_map == ((2,), (0,), (1,))
+        self.assert_copies_follow_slots(phi, 2)
+        _, phi2 = stabilize(phi.domain, 2, phi)
+        assert phi2.coord_map[:2] == ((4,), (5,))
+
+    @staticmethod
+    def shuffled_homs(seed, count):
+        """Seeded random unital homs with each slot row shuffled."""
+        rng = random.Random(seed)
+        for _ in range(count):
+            phi = sample_unital_hom(rng)
+            shuffled = [rng.sample(row, len(row)) for row in phi.assignment]
+            yield StarHom(phi.domain, phi.codomain, phi.multiplicity,
+                          unital=True, assignment=shuffled)
+
+    def test_shuffled_assignments_are_carried(self):
+        for phi in self.shuffled_homs(17, 20):
+            for m in (2, 3):
+                self.assert_copies_follow_slots(phi, m)
+
+    def test_shuffled_assignments_keep_the_naturality_square(self):
+        for phi in self.shuffled_homs(40, 8):
+            assert verify_naturality_square(phi, m=2).ok
 
 
 class TestUnitalize:

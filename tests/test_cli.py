@@ -442,6 +442,28 @@ def test_random_homs_are_byte_identical_across_processes(seed):
     assert f"3 homs, seed {seed}): PASS".encode() in runs[0].stdout
 
 
+def test_closed_stdout_exits_quietly(tmp_path):
+    """A reader that closes the pipe early, as `| head -1` does, gets
+    exit 1 and no traceback: about 100 KB of k0 output overfills the
+    pipe, so the writer meets the closed end."""
+    algebra = tmp_path / "algebra.json"
+    algebra.write_text(json.dumps({"blocks": [1] * 5000}))
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ncspectrum", "k0", "--algebra", str(algebra)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert first == b"Z^5000\n"
+    assert proc.returncode == 1
+    assert b"Traceback" not in err, err.decode()
+
+
 _Z = "0"
 # two Pythagorean rotations and a permutation with phase i, all given as
 # dense unitaries of the stabilized M_4

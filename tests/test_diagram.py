@@ -6,7 +6,8 @@ from ncspectrum import (AbHom, CommSubalgebra, MultiMatrixAlgebra,
                         PresentedAbGroup, Shape, ShapedDiagram,
                         SpectrumFunctor, ValidationError, compose_morphisms,
                         partition_subalgebra, postcompose)
-from ncspectrum.diagram import (FORWARD, DiagramMorphism, Functor, find_path,
+from ncspectrum.diagram import (BACKWARD, CONTRAVARIANT, FORWARD,
+                                DiagramMorphism, Functor, find_path,
                                 find_naturality_failure)
 from ncspectrum.ktheory import K_of_map, KFunctor
 from ncspectrum.subalgebra import FiniteSpace, SpaceMap, SubalgebraArrow
@@ -176,3 +177,34 @@ class TestFindPath:
         assert find_path(d, "a", "c") == ("ab", "bc")
         assert find_path(d, "a", "a") == ()
         assert find_path(d, "c", "a") is None
+
+
+class TestNaturalityVariance:
+    """find_naturality_failure checks one square: a forward morphism of
+    covariant diagrams.  Anything else is rejected, not checked."""
+
+    def test_contravariant_diagrams_rejected(self):
+        shape = Shape(["a", "b"], [("u", "a", "b")])
+        d = ShapedDiagram(shape, {"a": Z, "b": Z},
+                          {"u": AbHom(Z, Z, [[2]])}, CONTRAVARIANT)
+        m = DiagramMorphism.identity(d)
+        assert m.direction == BACKWARD
+        with pytest.raises(ValidationError, match="covariant"):
+            find_naturality_failure(m, d, d)
+
+    def test_backward_morphism_rejected(self):
+        d = two_node_diagram(2)
+        m = DiagramMorphism(
+            node_map={"a": "a", "b": "b"},
+            edge_map={"u": ("u",)},
+            components={"a": AbHom.identity(Z), "b": AbHom.identity(Z)},
+            direction=BACKWARD)
+        with pytest.raises(ValidationError, match="forward"):
+            find_naturality_failure(m, d, d)
+
+    def test_mixed_variance_rejected(self):
+        d1 = two_node_diagram(2)
+        d2 = ShapedDiagram(d1.shape, d1.node_data, d1.edge_data,
+                           CONTRAVARIANT)
+        with pytest.raises(ValidationError):
+            find_naturality_failure(DiagramMorphism.identity(d1), d1, d2)

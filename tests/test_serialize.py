@@ -109,6 +109,22 @@ class TestHom:
         with pytest.raises(ValidationError):
             serialize.load_hom({"domain": {"blocks": [1]}})
 
+    def test_round_trip_of_a_custom_assignment(self):
+        data = {"domain": {"blocks": [1, 2]}, "codomain": {"blocks": [3]},
+                "multiplicity": [[1, 1]], "unital": True,
+                "assignment": [[[1, 0], [0, 0]]]}
+        phi = serialize.load_hom(data)
+        assert phi.assignment == (((1, 0), (0, 0)),)
+        assert serialize.dump_hom(phi) == data
+        assert serialize.load_hom(serialize.dump_hom(phi)) == phi
+
+    def test_default_assignment_is_not_written(self):
+        data = {"domain": {"blocks": [1, 2]}, "codomain": {"blocks": [3]},
+                "multiplicity": [[1, 1]], "unital": True,
+                "assignment": [[[0, 0], [1, 0]]]}
+        dumped = serialize.dump_hom(serialize.load_hom(data))
+        assert "assignment" not in dumped
+
 
 class TestSubalgebra:
     def test_atoms_recomputed(self):
