@@ -12,7 +12,10 @@ still, and are held in it:
 - a diagonal 0/1 projection, such as every atom of a diagonal partition
   subalgebra, is held as its set of global diagonal coordinates (mask
   form, see diagonal_projection); its block matrices are built only
-  when they are read;
+  when they are read.  A mask is read (to compare, hash, rank, order
+  or conjugate), not computed with: only the sum of two disjoint masks
+  stays in mask form, and any other sum, difference or product goes
+  through the block matrices;
 - a rotation that permutes the diagonal coordinates, such as a
   transposition, a cycle or the image of one under a unital hom, is
   held as that coordinate permutation (InnerAutomorphism.permutation),
@@ -157,17 +160,11 @@ class AlgebraElement:
 
     def __sub__(self, other):
         self._require_same_parent(other)
-        ma, mb = self._known_mask(), other._known_mask()
-        if ma is not None and mb is not None and mb <= ma:
-            return AlgebraElement._from_mask(self.algebra, ma - mb)
         return AlgebraElement(self.algebra,
                               [a - b for a, b in zip(self.parts, other.parts)])
 
     def __mul__(self, other):
         self._require_same_parent(other)
-        ma, mb = self._known_mask(), other._known_mask()
-        if ma is not None and mb is not None:
-            return AlgebraElement._from_mask(self.algebra, ma & mb)
         return AlgebraElement(self.algebra,
                               [a * b for a, b in zip(self.parts, other.parts)])
 
@@ -236,9 +233,6 @@ class AlgebraElement:
             return False
         if self._parts is None or other._parts is None:
             return self.diag_mask == other.diag_mask
-        ma, mb = self._known_mask(), other._known_mask()
-        if ma is not None and mb is not None:
-            return ma == mb
         return self._parts == other._parts
 
     def __hash__(self):

@@ -5,9 +5,6 @@ partial-ideal check, snf.  Output is deterministic: the same config
 produces the same bytes.  Exit codes: 0 success, 1 validation failure
 or bad usage (with an error: line) or a reader that closed stdout
 (silently), 2 verification failure (with a witness).
-
-The environment variable NC_SPECTRUM_SEED overrides --seed for the
-randomized verification runs.
 """
 
 from __future__ import annotations
@@ -291,8 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--format", choices=("text", "json"), default="text",
                         help="output format (default text)")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized verification runs "
-                             "(NC_SPECTRUM_SEED overrides)")
+                        help="seed for randomized verification runs")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("k0", help="K0 group of a multi-matrix algebra")
@@ -345,13 +341,6 @@ def main(argv=None, out=None) -> int:
     out = out or sys.stdout
     try:
         args = build_parser().parse_args(argv)
-        env_seed = os.environ.get("NC_SPECTRUM_SEED")
-        if env_seed is not None:
-            try:
-                args.seed = int(env_seed)
-            except ValueError:
-                raise ValidationError(f"NC_SPECTRUM_SEED must be an integer, "
-                                      f"got {env_seed!r}") from None
         return args.func(args, out)
     except BrokenPipeError:
         # the reader closed stdout: write nothing more, and point stdout

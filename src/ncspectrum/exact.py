@@ -38,12 +38,15 @@ _new = object.__new__
 
 def _rational(x):
     """(numerator, denominator > 0) in lowest terms of a non-bool int, a
-    Fraction or a rational string."""
+    Fraction or a rational string with no exponent."""
     if isinstance(x, int) and not isinstance(x, bool):
         return x, 1
     if isinstance(x, Fraction):
         return x.numerator, x.denominator
     if isinstance(x, str):
+        if "e" in x or "E" in x:  # "1e30000000": 11 bytes, 30M digits
+            raise ValidationError(f"cannot interpret {x!r} as an exact "
+                                  f"rational: exponents are not accepted")
         try:
             f = Fraction(x)
         except (ValueError, ZeroDivisionError):

@@ -25,8 +25,8 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .abgroup import (AbHom, ColimitResult, PresentedAbGroup, colimit,
-                      colimit_induced, element_eq, kernel)
+from .abgroup import (AbHom, ColimitResult, PresentedAbGroup, _combine,
+                      colimit, colimit_induced, element_eq, kernel)
 from .algebra import (AlgebraElement, MultiMatrixAlgebra, StarHom,
                       cycle_unitary, pythagorean_unitary, stabilize,
                       transposition_unitary, unitalize)
@@ -299,7 +299,6 @@ class KTildeContext:
     spec: SubdiagramSpec
     diagram: ShapedDiagram
     colim: ColimitResult
-    block_positions: tuple
 
 
 class K0Group:
@@ -395,13 +394,10 @@ def _ab_diagram(diagram: ShapedDiagram, morphism=None):
 
 def _ktilde_from(algebra: MultiMatrixAlgebra, dia: ShapedDiagram,
                  colim: ColimitResult) -> K0Group:
-    fine = dia.meta["fine"]
-    off = colim.offsets[fine]
-    positions = tuple(off + algebra.block_offset(i)
-                      for i in range(algebra.nblocks))
-    ctx = KTildeContext(algebra=algebra, spec=dia.meta["spec"], diagram=dia,
-                        colim=colim, block_positions=positions)
-    return K0Group(colim.group, [{pos: 1} for pos in positions], ctx)
+    off = colim.offsets[dia.meta["fine"]]
+    ctx = KTildeContext(algebra, dia.meta["spec"], dia, colim)
+    return K0Group(colim.group, [{off + algebra.block_offset(i): 1}
+                                 for i in range(algebra.nblocks)], ctx)
 
 
 def k_tilde_f(algebra: MultiMatrixAlgebra, spec: SubdiagramSpec | None = None,
@@ -428,68 +424,52 @@ class EtaResult:
     m: int
 
 
-def _generator_rank_table(kt: K0Group):
-    dia = kt.context.diagram
-    table = []
-    for nid in dia.shape.nodes:
-        for atom in dia.node_data[nid].atoms:
-            table.append(atom.rank_vector())
-    return table
-
-
 def _check_eta_inverse(kt: K0Group):
     """Bidirectional inverse check for the comparison map.
 
     The inverse candidate sends the generator of a pair (node, atom) to
-    the atom's rank vector.  It must kill every colimit relation, be a
-    left inverse on the block classes, and a right inverse on every
-    generator; any failure signals that the sampled subdiagram is too
-    coarse and is reported with a witness.
+    the atom's sparse rank word {block: rank}.  Three checks run on
+    sparse words: every colimit relation combines those rank words to
+    the empty word (the candidate is well defined); the class of block i
+    maps to {i: 1} (a left inverse); and every generator g differs from
+    the class of its rank word by an element of the relation lattice (a
+    right inverse).  Any failure signals that the sampled subdiagram is
+    too coarse and is reported with a witness.
     """
-    dia = kt.context.diagram
-    k = kt.nblocks
-    table = _generator_rank_table(kt)
-    gen_names = []
-    for nid in dia.shape.nodes:
-        for i in range(dia.node_data[nid].natoms):
-            gen_names.append((nid, i))
+    ctx = kt.context
+    nodes = ctx.diagram.node_data
+    rank_words = [{b: r for b, r in enumerate(atom.rank_vector()) if r}
+                  for nid in ctx.diagram.shape.nodes
+                  for atom in nodes[nid].atoms]
+
+    def vector(word):
+        return tuple(word.get(b, 0) for b in range(kt.nblocks))
 
     for sp in kt.group.rows:
-        acc = [0] * k
-        for g, c in sp:
-            rv = table[g]
-            for i in range(k):
-                acc[i] += c * rv[i]
-        if any(acc):
+        if _combine(sp, rank_words):
             raise SubdiagramInsufficientError(
                 "rank map fails on a colimit relation",
                 witness={"relation": dict(sp)})
 
-    positions = kt.context.block_positions
-    for i in range(k):
-        rv = table[positions[i]]
-        want = tuple(1 if j == i else 0 for j in range(k))
-        if rv != want:
+    for i, block in enumerate(kt.block_words):
+        word = _combine(block.items(), rank_words)
+        if word != {i: 1}:
             raise SubdiagramInsufficientError(
                 "block class anchor has the wrong rank vector",
-                witness={"block": i, "rank_vector": rv})
+                witness={"block": i, "rank_vector": vector(word)})
 
     lattice = kt.group.lattice
-    for g, rv in enumerate(table):
-        diff = {g: 1}
-        for i, r in enumerate(rv):
-            if r:
-                pos = positions[i]
-                v = diff.get(pos, 0) - r
-                if v:
-                    diff[pos] = v
-                else:
-                    diff.pop(pos, None)
-        if not lattice.contains(diff):
-            raise SubdiagramInsufficientError(
-                "generator class is not identified with its rank class; "
-                "the subdiagram sample is too coarse",
-                witness={"generator": gen_names[g], "rank_vector": rv})
+    for nid, off in ctx.colim.offsets.items():
+        for i in range(nodes[nid].natoms):
+            g = off + i
+            back = _combine(rank_words[g].items(), kt.block_words)
+            if not lattice.contains(
+                    _combine(((0, 1), (1, -1)), ({g: 1}, back))):
+                raise SubdiagramInsufficientError(
+                    "generator class is not identified with its rank class; "
+                    "the subdiagram sample is too coarse",
+                    witness={"generator": (nid, i),
+                             "rank_vector": vector(rank_words[g])})
 
 
 def eta(algebra: MultiMatrixAlgebra, spec: SubdiagramSpec | None = None,

@@ -24,20 +24,20 @@ from .subalgebra import FiniteSpace, SpaceMap
 def load_json_argument(text_or_path: str):
     """Parse an argument as inline JSON, else read it as a file path."""
     text = text_or_path.strip()
-    if text.startswith(("{", "[")):
+    where = "invalid inline JSON"
+    if not text.startswith(("{", "[")):
+        if not os.path.exists(text_or_path):
+            raise ValidationError(f"no such file: {text_or_path}")
         try:
-            return json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"invalid inline JSON: {exc}") from exc
-    if not os.path.exists(text_or_path):
-        raise ValidationError(f"no such file: {text_or_path}")
+            with open(text_or_path, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"{text_or_path}: cannot read: {exc}") from exc
+        where = f"{text_or_path}: invalid JSON"
     try:
-        with open(text_or_path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{text_or_path}: invalid JSON: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValidationError(f"{text_or_path}: cannot read: {exc}") from exc
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # too deep, too many digits
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def load_algebra(data) -> MultiMatrixAlgebra:

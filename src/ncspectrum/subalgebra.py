@@ -45,8 +45,9 @@ def _atom_sort_key(p: AlgebraElement):
 class CommSubalgebra:
     """A unital commutative subalgebra given by its atomic projections.
 
-    Atoms must be pairwise orthogonal nonzero projections summing to the
-    identity; this is validated at construction.
+    Atoms must be nonzero projections summing to the identity; this is
+    validated at construction.  Projections that sum to the identity are
+    pairwise orthogonal, so the sum check covers orthogonality.
     """
 
     __slots__ = ("algebra", "atoms", "_key", "_index", "_supports")
@@ -65,11 +66,9 @@ class CommSubalgebra:
                 if not p.is_projection():
                     raise ValidationError(f"atom {i} is not a projection")
                 total = total + p
-            for i in range(len(atoms)):
-                for j in range(i + 1, len(atoms)):
-                    if not (atoms[i] * atoms[j]).is_zero():
-                        raise ValidationError(
-                            f"atoms {i} and {j} are not orthogonal")
+            # this also rejects overlapping atoms: when they sum to 1, the
+            # positive p_i p_j p_i = (p_j p_i)* (p_j p_i), j != i, sum to
+            # p_i (1 - p_i) p_i = 0, so each p_j p_i is 0
             if total != algebra.one():
                 raise ValidationError("atoms must sum to the identity")
         self.algebra = algebra

@@ -274,6 +274,79 @@ class TestInvalidInput:
         assert str(path) in text
 
 
+def run_process(*argv):
+    """The CLI in a fresh interpreter, given 10 s: (exit code, stdout
+    lines, stderr)."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "ncspectrum", *argv],
+                          env=env, capture_output=True, timeout=10)
+    return (proc.returncode, proc.stdout.decode().splitlines(),
+            proc.stderr.decode())
+
+
+# nesting past the recursion limit, and an integer past the interpreter's
+# 4,300-digit limit on converting a string to an int
+DEEP_JSON = "[" * 100_000
+LONG_INT_JSON = '{"blocks":[%s]}' % ("9" * 5000)
+
+
+class TestInputPastParserLimits:
+    @pytest.mark.parametrize("payload", [DEEP_JSON, LONG_INT_JSON],
+                             ids=["deep", "long-int"])
+    @pytest.mark.parametrize("as_file", [False, True], ids=["inline", "file"])
+    def test_exit_one_without_traceback(self, payload, as_file, tmp_path):
+        arg = payload
+        if as_file:
+            arg = str(tmp_path / "algebra.json")
+            pathlib.Path(arg).write_text(payload)
+        code, lines, err = run_process("k0", "--algebra", arg)
+        assert code == 1
+        assert len(lines) == 1
+        prefix = f"error: {arg}: invalid JSON: " if as_file else \
+            "error: invalid inline JSON: "
+        assert lines[0].startswith(prefix)
+        assert "Traceback" not in err, err
+
+    def test_non_utf8_file_cannot_be_read(self, tmp_path):
+        path = tmp_path / "algebra.json"
+        path.write_bytes(b'{"blocks": [\xff]}')
+        code, text = run_cli("k0", "--algebra", str(path))
+        assert code == 1
+        assert text.startswith(f"error: {path}: cannot read: ")
+
+
+class TestRationalStrings:
+    def test_exponent_exits_one_at_once(self):
+        # 11 bytes that Fraction would read as a 30-million-digit integer
+        spec = '{"rotations":[{"parts":[[["1e30000000",0]]]}]}'
+        code, lines, err = run_process("k0", "--method", "diagram",
+                                       "--algebra", '{"blocks":[1]}',
+                                       "--spec", spec)
+        assert code == 1
+        assert lines == ["error: cannot interpret '1e30000000' as an exact "
+                         "rational: exponents are not accepted"]
+        assert "Traceback" not in err, err
+
+    @pytest.mark.parametrize("entry", ['"1E3"', '"1e0"', '["0", "2e-1"]'])
+    def test_exponent_rejected(self, entry):
+        spec = '{"rotations":[{"parts":[[[%s]]]}]}' % entry
+        code, text = run_cli("k0", "--method", "diagram",
+                             "--algebra", '{"blocks":[1]}', "--spec", spec)
+        assert code == 1
+        assert text.startswith("error: ")
+        assert "exponents are not accepted" in text
+        assert len(text.splitlines()) == 1
+
+    @pytest.mark.parametrize("entry", ['"1"', '"1.0"', '"3/3"', '["1", "0.0"]'])
+    def test_integers_fractions_and_decimals_accepted(self, entry):
+        spec = '{"rotations":[{"parts":[[[%s]]]}]}' % entry
+        code, text = run_cli("k0", "--method", "diagram",
+                             "--algebra", '{"blocks":[1]}', "--spec", spec)
+        assert code == 0, text
+        assert text.splitlines()[0] == "Z"
+
+
 class TestVerifyCommand:
     def test_theorem1_pass(self):
         code, text = run_cli("verify", "theorem1",
@@ -300,13 +373,14 @@ class TestVerifyCommand:
         assert code1 == code2 == 0
         assert text1 == text2
 
-    def test_env_seed_override(self, monkeypatch):
+    def test_env_seed_ignored(self, monkeypatch):
+        # --seed is the one way to set the seed; the environment is not read
         monkeypatch.setenv("NC_SPECTRUM_SEED", "9")
         code, text = run_cli("--seed", "5", "verify", "theorem1",
                              "--algebra", '{"blocks":[1]}',
                              "--random-homs", "2")
         assert code == 0
-        assert "seed 9" in text
+        assert "seed 5" in text
 
     def test_insufficient_spec_exits_two(self):
         code, text = run_cli("verify", "theorem1",

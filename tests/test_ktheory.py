@@ -5,7 +5,7 @@ import pytest
 from ncspectrum import (ExactMatrix, GaussianRational, InnerAutomorphism,
                         K_of_map, K_of_space, MultiMatrixAlgebra,
                         StarHom, SubdiagramInsufficientError,
-                        SubdiagramSpec, ValidationError,
+                        SubdiagramSpec, ValidationError, VerificationError,
                         build_subdiagram, diagonal_projection, element_eq,
                         eta, k0_standard, k0_standard_hom, k_tilde_f,
                         k_tilde_f_nonunital, pythagorean_unitary,
@@ -445,3 +445,47 @@ class TestClassOfProjectionDominatedAtoms:
         with pytest.raises(SubdiagramInsufficientError) as info:
             k_tilde_f(self.M3).class_of_projection(q)
         assert info.value.witness == {"rank_vector": (1,)}
+
+
+class TestTrivialRotationImage:
+    """A rotation image that acts trivially on a diagonal node although its
+    support is neither inside nor outside each atom, so the support alone
+    does not decide acts_trivially_on."""
+
+    A = MultiMatrixAlgebra([4, 2])
+    PHI = StarHom(A, MultiMatrixAlgebra([4]), [[1, 0]], unital=True)
+
+    def spec(self):
+        c, s = GaussianRational("3/5"), GaussianRational("4/5")
+        # the 3/5, 4/5 rotation on coordinates (0, 1) and on (2, 3) of
+        # block 0, and the swap of block 1
+        u = self.A.element([
+            ExactMatrix.from_rows([[c, s, 0, 0], [-s, c, 0, 0],
+                                   [0, 0, c, s], [0, 0, -s, c]]),
+            ExactMatrix.from_rows([[0, 1], [1, 0]])])
+        return SubdiagramSpec(rotations=(InnerAutomorphism(u, "u"),),
+                              partitions=([[0, 1], [2, 3], [4], [5]],),
+                              label="pairs")
+
+    def test_image_fixes_atoms_its_support_splits(self):
+        image = self.PHI.apply_rotation(self.spec().rotations[0])
+        atoms = [diagonal_projection(self.PHI.codomain, c)
+                 for c in ({0, 1}, {2, 3})]
+        assert image.support == frozenset({0, 1, 2, 3})
+        assert all(not image.support <= a.diag_mask for a in atoms)
+        assert image.acts_trivially_on(atoms)
+
+    def test_square_passes(self):
+        assert verify_naturality_square(self.PHI, self.spec(), m=1).ok
+
+    def test_support_only_test_fails_the_square(self, monkeypatch):
+        def by_support(alpha, elements):
+            return all(alpha.support <= p.diag_mask
+                       or alpha.support.isdisjoint(p.diag_mask)
+                       for p in elements)
+
+        monkeypatch.setattr(InnerAutomorphism, "acts_trivially_on",
+                            by_support)
+        with pytest.raises(VerificationError,
+                           match="rotation image edge missing"):
+            verify_naturality_square(self.PHI, self.spec(), m=1)
