@@ -350,6 +350,9 @@ def main(argv=None, out=None) -> int:
     except ValidationError as exc:
         out.write(f"error: {exc}\n")
         return EXIT_VALIDATION
+    except MemoryError:
+        out.write("error: out of memory: the input is too large\n")
+        return EXIT_VALIDATION
     except VerificationError as exc:
         out.write(f"verification failed: {exc}\n")
         if exc.witness is not None:

@@ -12,9 +12,12 @@ D diagonal with a divisibility chain.  It backs the snf command, and
 invariant_factors_of_rows reads invariant factors off its diagonal;
 groups pass it their reduced residual, which is small because the
 identifying relations are already substituted away (see abgroup).
-Pivots are chosen by smallest nonzero absolute value with row-major
-tie-breaking, so output is deterministic.  Entries are Python ints, so
-growth is unbounded but exact.
+It reduces by division with remainder alone: the pivot is the smallest
+nonzero absolute value (ties row-major), and a remainder left in its
+column, then in its row, becomes the next pivot, so output is
+deterministic.  D is unique; U and V are those of the earlier form with
+Bezout steps wherever no remainder occurs, and may differ where one
+does.  Entries are Python ints, so growth is unbounded but exact.
 """
 
 from __future__ import annotations
@@ -109,10 +112,18 @@ def _find_pivot(m, start, rows, cols):
 
 
 def smith_normal_form(matrix) -> SNFResult:
-    """Smith normal form with transform tracking.
+    """Smith normal form with transform tracking, by division with
+    remainder (Cohen, GTM 138, section 2.4).
 
-    Pivot selection: smallest nonzero absolute value, ties broken in
-    row-major order.
+    Step t swaps the smallest nonzero entry left (ties row-major) to
+    (t, t), then reduces column t below it by floor quotients, and only
+    once that column is clear reduces row t the same way.  A remainder
+    left by either becomes the pivot (the smallest, ties row-major) and
+    the step repeats.  When both are clear and a later row holds an
+    entry the pivot does not divide, that row is added to row t and the
+    step repeats.  Each repeat strictly lowers |pivot|, so the loop
+    ends; each pivot divides every later entry, so the diagonal is a
+    divisibility chain with no further pass.
     """
     m = [[x if type(x) is int else as_int(x, "matrix entry") for x in row]
          for row in matrix]
@@ -126,24 +137,19 @@ def smith_normal_form(matrix) -> SNFResult:
     def row_op(dst, src, f):
         # row dst -= f * row src, applied to m and u
         if f:
-            mr, ms = m[dst], m[src]
-            for c in range(cols):
-                if ms[c]:
-                    mr[c] -= f * ms[c]
-            ur, us = u[dst], u[src]
-            for c in range(rows):
-                if us[c]:
-                    ur[c] -= f * us[c]
+            for a in (m, u):
+                row = a[dst]
+                for c, x in enumerate(a[src]):
+                    if x:
+                        row[c] -= f * x
 
     def col_op(dst, src, f):
         # col dst -= f * col src, applied to m and v
         if f:
-            for r in range(rows):
-                if m[r][src]:
-                    m[r][dst] -= f * m[r][src]
-            for r in range(cols):
-                if v[r][src]:
-                    v[r][dst] -= f * v[r][src]
+            for a in (m, v):
+                for r in a:
+                    if r[src]:
+                        r[dst] -= f * r[src]
 
     def swap_rows(i, j):
         if i != j:
@@ -152,18 +158,11 @@ def smith_normal_form(matrix) -> SNFResult:
 
     def swap_cols(i, j):
         if i != j:
-            for r in range(rows):
-                m[r][i], m[r][j] = m[r][j], m[r][i]
-            for r in range(cols):
-                v[r][i], v[r][j] = v[r][j], v[r][i]
+            for a in (m, v):
+                for r in a:
+                    r[i], r[j] = r[j], r[i]
 
-    def negate_row(i):
-        m[i] = [-x for x in m[i]]
-        u[i] = [-x for x in u[i]]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
+    for t in range(min(rows, cols)):
         found = _find_pivot(m, t, rows, cols)
         if found is None:
             break
@@ -171,77 +170,29 @@ def smith_normal_form(matrix) -> SNFResult:
         swap_rows(t, pi)
         swap_cols(t, pj)
         while True:
-            # clear column t below/above the pivot
-            dirty = False
-            for r in range(rows):
-                if r != t and m[r][t]:
-                    q, rem = divmod(m[r][t], m[t][t])
-                    if rem:
-                        # make the pivot the gcd first
-                        g, x, y = xgcd(m[t][t], m[r][t])
-                        a, b = m[t][t] // g, m[r][t] // g
-                        # new row t = x*row t + y*row r; new row r kills entry
-                        rt = [x * p + y * q2 for p, q2 in zip(m[t], m[r])]
-                        rr = [-b * p + a * q2 for p, q2 in zip(m[t], m[r])]
-                        m[t], m[r] = rt, rr
-                        ut = [x * p + y * q2 for p, q2 in zip(u[t], u[r])]
-                        ur = [-b * p + a * q2 for p, q2 in zip(u[t], u[r])]
-                        u[t], u[r] = ut, ur
-                        dirty = True
-                    else:
-                        row_op(r, t, q)
-            for c in range(cols):
-                if c != t and m[t][c]:
-                    q, rem = divmod(m[t][c], m[t][t])
-                    if rem:
-                        g, x, y = xgcd(m[t][t], m[t][c])
-                        a, b = m[t][t] // g, m[t][c] // g
-                        for r in range(rows):
-                            p, q2 = m[r][t], m[r][c]
-                            m[r][t] = x * p + y * q2
-                            m[r][c] = -b * p + a * q2
-                        for r in range(cols):
-                            p, q2 = v[r][t], v[r][c]
-                            v[r][t] = x * p + y * q2
-                            v[r][c] = -b * p + a * q2
-                        dirty = True
-                    else:
-                        col_op(c, t, q)
-            if not dirty and all(m[r][t] == 0 for r in range(rows) if r != t) \
-                    and all(m[t][c] == 0 for c in range(cols) if c != t):
-                break
-        if m[t][t] < 0:
-            negate_row(t)
-        t += 1
-
-    # enforce the divisibility chain d_i | d_{i+1}
-    changed = True
-    while changed:
-        changed = False
-        diag = [m[i][i] for i in range(limit)]
-        for i in range(limit - 1):
-            a, b = diag[i], diag[i + 1]
-            if a and b % a != 0:
-                # fold column i+1 into column i and rediagonalize the 2x2 block
-                col_op(i, i + 1, -1)
-                g, x, y = xgcd(m[i][i], m[i + 1][i])
-                aa, bb = m[i][i] // g, m[i + 1][i] // g
-                ri = [x * p + y * q2 for p, q2 in zip(m[i], m[i + 1])]
-                rr = [-bb * p + aa * q2 for p, q2 in zip(m[i], m[i + 1])]
-                m[i], m[i + 1] = ri, rr
-                ui = [x * p + y * q2 for p, q2 in zip(u[i], u[i + 1])]
-                ur = [-bb * p + aa * q2 for p, q2 in zip(u[i], u[i + 1])]
-                u[i], u[i + 1] = ui, ur
-                # clear the off-diagonal remainder in row i
-                q = m[i][i + 1] // m[i][i]
-                col_op(i + 1, i, q)
-                if m[i][i] < 0:
-                    negate_row(i)
-                if m[i + 1][i + 1] < 0:
-                    negate_row(i + 1)
-                changed = True
-        if not changed:
+            p = m[t][t]
+            for r in range(t + 1, rows):
+                row_op(r, t, m[r][t] // p)
+            left = [(abs(m[r][t]), r) for r in range(t + 1, rows) if m[r][t]]
+            if left:
+                swap_rows(t, min(left)[1])
+                continue
+            for c in range(t + 1, cols):
+                col_op(c, t, m[t][c] // p)
+            left = [(abs(m[t][c]), c) for c in range(t + 1, cols) if m[t][c]]
+            if left:
+                swap_cols(t, min(left)[1])
+                continue
+            if abs(p) != 1:
+                bad = next((r for r in range(t + 1, rows)
+                            if any(x % p for x in m[r])), None)
+                if bad is not None:
+                    row_op(t, bad, -1)
+                    continue
             break
+        if m[t][t] < 0:
+            m[t] = [-x for x in m[t]]
+            u[t] = [-x for x in u[t]]
     return SNFResult(U=u, D=m, V=v)
 
 

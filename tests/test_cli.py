@@ -451,6 +451,17 @@ class TestPartialIdealCommand:
         assert code == 2
         assert "rotation-fixed: no" in text
 
+    def test_readme_example(self):
+        readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+        lines = readme.read_text().splitlines()
+        start = next(i for i, line in enumerate(lines)
+                     if line.startswith("// partial ideal"))
+        payload = next(line for line in lines[start:]
+                       if line.startswith("{"))
+        code, text = run_cli("partial-ideal", "check", "--file", payload)
+        assert code == 0, text
+        assert "compatible: yes" in text and "rotation-fixed: yes" in text
+
 
 class TestSnfCommand:
     def test_divisibility_example(self):
@@ -536,6 +547,28 @@ def test_closed_stdout_exits_quietly(tmp_path):
     assert first == b"Z^5000\n"
     assert proc.returncode == 1
     assert b"Traceback" not in err, err.decode()
+
+
+def test_out_of_memory_exits_one():
+    """A block size of a few bytes asks for more memory than a 400 MB
+    address space holds: exit 1 with one error: line, no traceback."""
+    resource = pytest.importorskip("resource")
+    limit = 400 * 1024 * 1024
+
+    def cap_address_space():
+        # runs in the child only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-m", "ncspectrum", "k0", "--method", "diagram",
+         "--algebra", '{"blocks":[100000000]}'],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        timeout=60, preexec_fn=cap_address_space)
+    assert proc.returncode == 1
+    assert proc.stdout.decode() == \
+        "error: out of memory: the input is too large\n"
+    assert b"Traceback" not in proc.stderr, proc.stderr.decode()
 
 
 _Z = "0"
