@@ -33,6 +33,9 @@ immutable and pure.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from itertools import accumulate
+
 from .errors import ValidationError, as_int
 from .exact import ExactMatrix, GaussianRational, GR_ONE
 
@@ -201,11 +204,11 @@ class AlgebraElement:
         mask = self.diag_mask
         if mask is None:
             return tuple(p.rank() for p in self.parts)
-        ranks = []
-        offset = 0
-        for n in self.algebra.blocks:
-            ranks.append(sum(1 for c in range(offset, offset + n) if c in mask))
-            offset += n
+        # count each coordinate into the block whose end first exceeds it
+        ends = list(accumulate(self.algebra.blocks))
+        ranks = [0] * len(ends)
+        for c in mask:
+            ranks[bisect_right(ends, c)] += 1
         return tuple(ranks)
 
     @property

@@ -10,9 +10,9 @@ explicit inverse on generators.
 The full diagram of commutative subalgebras is infinite; any finite
 sample that still generates its identifications has the same colimit.
 The default sample is such a generating set: the coarsest and the
-finest diagonal partition, rotated copies under at most three rotations
-per block (the transposition of its first two coordinates, the cycle of
-its coordinates and one Pythagorean rotation), inclusion edges between
+finest diagonal partition, rotated copies under one permutation per
+block (the swap of a 2-block, the cycle of a larger one) and one
+Pythagorean rotation for the whole algebra, inclusion edges between
 them and a rotation edge per rotation at each base node.  A
 diagram that a morphism maps into is closed under the images of the
 source's base nodes and rotations (image_closed_spec).  When a sample
@@ -100,19 +100,19 @@ class SubdiagramSpec:
 
     @classmethod
     def default(cls, algebra: MultiMatrixAlgebra) -> "SubdiagramSpec":
-        """Per block of size n >= 2: the transposition (0 1), the n-cycle
-        c -> c + 1 mod n when n >= 3 (for n = 2 it is the transposition),
-        which together generate the block's coordinate permutations, and
-        one Pythagorean rotation.  So the sample grows linearly with the
-        coordinates."""
-        rotations = []
-        for b, n in enumerate(algebra.blocks):
-            if n < 2:
-                continue
-            rotations.append(transposition_unitary(algebra, b, 0, 1))
-            if n >= 3:
-                rotations.append(cycle_unitary(algebra, b))
-            rotations.append(pythagorean_unitary(algebra, b))
+        """One permutation per block of size n >= 2, in block order: the
+        transposition (0 1) when n = 2, the n-cycle c -> c + 1 mod n when
+        n >= 3; then one Pythagorean rotation for the whole algebra, on
+        its first largest block when that has size >= 2.  A permutation
+        maps the coarsest and the finest node onto themselves, so only
+        that rotation builds a sheet of new atoms, and the sample grows
+        linearly with the coordinates."""
+        rotations = [transposition_unitary(algebra, b, 0, 1) if n == 2 else
+                     cycle_unitary(algebra, b)
+                     for b, n in enumerate(algebra.blocks) if n >= 2]
+        big = max(range(algebra.nblocks), key=lambda b: algebra.blocks[b])
+        if algebra.blocks[big] >= 2:
+            rotations.append(pythagorean_unitary(algebra, big))
         return cls(rotations=tuple(rotations), label="default")
 
     def describe(self) -> str:
@@ -261,7 +261,8 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
                 spectrum(node_data[t2]), spectrum(node_data[s2]), index))
 
     # rotation edges; a loop with the identity placement gives only zero
-    # relations and is left out
+    # relations and is left out.  The placement is a bijection, so its
+    # inverse is the edge's spectrum map
     rotation_edges = {}
     for r, alpha in enumerate(kept):
         for bid in base_ids:
@@ -275,9 +276,13 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
                 continue
             eid = f"t{r}:{bid}"
             edges.append((eid, bid, tid))
-            edge_data[eid] = SubalgebraArrow(node_data[bid], node_data[tid],
-                                             raw, kind="rotation",
-                                             unitary=alpha)
+            index = [0] * len(placement)
+            for i, j in enumerate(placement):
+                index[j] = i
+            edge_data[eid] = SubalgebraArrow(
+                node_data[bid], node_data[tid], raw, kind="rotation",
+                unitary=alpha, spectrum_cache=SpaceMap(
+                    spectrum(node_data[tid]), spectrum(node_data[bid]), index))
             rotation_edges[(r, bid)] = eid
 
     shape = Shape(node_ids, edges)

@@ -204,11 +204,12 @@ class IntegerRowLattice:
     testing reduces a vector against the basis and checks for zero.
     """
 
-    __slots__ = ("ambient", "pivots")
+    __slots__ = ("ambient", "pivots", "_order")
 
     def __init__(self, ambient: int):
         self.ambient = ambient
         self.pivots = {}
+        self._order = {}
 
     @staticmethod
     def _to_sparse(vec):
@@ -289,8 +290,11 @@ class IntegerRowLattice:
         quotients = {}
         if self._reduce(self._to_sparse(vec), quotients) is not None:
             return None
-        order = {j: k for k, j in enumerate(sorted(self.pivots))}
-        return {order[j]: q for j, q in quotients.items()}
+        # pivot columns are only ever added, so the kept order is current
+        # while it has one entry per pivot
+        if len(self._order) != len(self.pivots):
+            self._order = {j: k for k, j in enumerate(sorted(self.pivots))}
+        return {self._order[j]: q for j, q in quotients.items()}
 
     @property
     def rank(self) -> int:

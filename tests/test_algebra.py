@@ -268,3 +268,19 @@ class TestUnitalize:
             assert pi.apply(p).is_zero()
         top = diagonal_projection(plus, [plus.coord_count - 1])
         assert not pi.apply(top).is_zero()
+
+
+def test_rank_vector_of_a_mask_matches_the_block_scan():
+    # the oracle scans every coordinate of every block for the mask's
+    rng = random.Random(20261020)
+    for _ in range(300):
+        algebra = MultiMatrixAlgebra([rng.randint(1, 5)
+                                      for _ in range(rng.randint(1, 6))])
+        mask = {c for c in range(algebra.coord_count) if rng.random() < 0.5}
+        p = diagonal_projection(algebra, mask)
+        assert p.diag_mask == mask
+        want, offset = [], 0
+        for n in algebra.blocks:
+            want.append(sum(1 for c in range(offset, offset + n) if c in mask))
+            offset += n
+        assert p.rank_vector() == tuple(want), (algebra, mask)

@@ -650,8 +650,8 @@ GOLDEN = [
     (("ideals", "--algebra", '{"blocks":[2,3]}'), 0,
      ["total ideals: 4", "t_tilde lattice: 4 elements",
       "lattice isomorphism: PASS", "partial-ideal round trip: PASS",
-      "spec: default(rotations=[swap[b0:0,1],pyth[b0],swap[b1:0,1],"
-      "cycle[b1],pyth[b1]], partitions=[])"]),
+      "spec: default(rotations=[swap[b0:0,1],cycle[b1],pyth[b1]], "
+      "partitions=[])"]),
     (("k0", "--algebra", '{"blocks":[2]}', "--method", "diagram",
       "--stabilize", "2", "--spec", "SPEC"), 0,
      ["Z^3", "block 0: class {'1': 1}"]),

@@ -197,6 +197,47 @@ class TestIntegerRowLattice:
             assert lat.contains(v) == expect
 
 
+    def test_coordinates_keep_the_pivot_order_across_inserts(self):
+        # the oracle sorts the pivot columns afresh on every call; rows
+        # with a new leading column arrive between the calls, in random
+        # column order, so the basis order shifts
+        def sorted_pivot_coordinates(lat, vec):
+            quotients = {}
+            if lat._reduce(IntegerRowLattice._to_sparse(vec),
+                           quotients) is not None:
+                return None
+            order = {j: k for k, j in enumerate(sorted(lat.pivots))}
+            return {order[j]: q for j, q in quotients.items()}
+
+        rng = random.Random(20261020)
+        for _ in range(40):
+            lat, rows = IntegerRowLattice(8), []
+            for _ in range(rng.randint(1, 10)):
+                lead = rng.randrange(8)
+                row = {c: rng.choice((1, -1, 2, 3))
+                       for c in rng.sample(range(lead, 8), min(3, 8 - lead))}
+                row[lead] = rng.choice((1, -1, 2, 3))
+                lat.insert(row)
+                rows.append(row)
+                for _ in range(3):
+                    vec = [0] * 8
+                    for r in rows:
+                        k = rng.randint(-2, 2)
+                        for c, x in r.items():
+                            vec[c] += k * x
+                    if rng.random() < 0.3:
+                        vec[rng.randrange(8)] += 1
+                    got = lat.coordinates(vec)
+                    assert got == sorted_pivot_coordinates(lat, vec)
+                    if got is not None:
+                        basis = lat.basis_sparse()
+                        back = [0] * 8
+                        for k, q in got.items():
+                            for c, x in basis[k].items():
+                                back[c] += q * x
+                        assert back == vec
+
+
 def draw_matrix(data):
     """A matrix of 1-5 rows and 1-5 columns with entries in [-9, 9]."""
     rows = data.draw(st.integers(1, 5))

@@ -14,9 +14,9 @@ import random
 import pytest
 
 from ncspectrum import (MultiMatrixAlgebra, SubdiagramInsufficientError,
-                        SubdiagramSpec, build_subdiagram, eta, k_tilde_f,
-                        pythagorean_unitary, sample_unital_hom, stabilize,
-                        transposition_unitary, verify_conjecture1,
+                        SubdiagramSpec, build_subdiagram, cycle_unitary, eta,
+                        k_tilde_f, pythagorean_unitary, sample_unital_hom,
+                        stabilize, transposition_unitary, verify_conjecture1,
                         verify_naturality_square, verify_theorem1)
 
 ORACLE_MAX_COORDS = 5
@@ -118,8 +118,9 @@ def test_partitions_without_rotations_stay_insufficient():
 
 # A second oracle: the n - 1 adjacent transpositions of each block plus its
 # Pythagorean rotation.  It generates the same coordinate permutations as
-# the default's transposition and cycle, with one rotation per coordinate
-# and no partition enumeration, so it runs well past ORACLE_MAX_COORDS.
+# the transposition and cycle of per_block_spec below, with one rotation
+# per coordinate and no partition enumeration, so it runs well past
+# ORACLE_MAX_COORDS.
 ADJACENT_SEED = 20261019
 
 
@@ -131,6 +132,22 @@ def adjacent_spec(algebra):
         if n >= 2:
             rotations.append(pythagorean_unitary(algebra, b))
     return SubdiagramSpec(rotations=tuple(rotations), label="adjacent")
+
+
+# A third oracle: the default sample before it kept one Pythagorean
+# rotation for the whole algebra.  Per block of size n >= 2 it holds the
+# swap (0 1), the n-cycle when n >= 3 and a Pythagorean rotation, so every
+# block has a rotated sheet of its own.
+def per_block_spec(algebra):
+    rotations = []
+    for b, n in enumerate(algebra.blocks):
+        if n < 2:
+            continue
+        rotations.append(transposition_unitary(algebra, b, 0, 1))
+        if n >= 3:
+            rotations.append(cycle_unitary(algebra, b))
+        rotations.append(pythagorean_unitary(algebra, b))
+    return SubdiagramSpec(rotations=tuple(rotations), label="per-block")
 
 
 def adjacent_draws(count, max_coords, seed):
