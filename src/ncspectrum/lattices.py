@@ -108,25 +108,6 @@ class MeetSemilattice:
     def __contains__(self, x):
         return x in self._pos
 
-    def order_isomorphic_via(self, mapping: dict, other: "MeetSemilattice",
-                             reverse: bool = False) -> bool:
-        """Whether mapping is a bijection preserving order (or reversing
-        it when reverse is set)."""
-        if set(mapping) != set(self.elements):
-            return False
-        if set(mapping.values()) != set(other.elements):
-            return False
-        if len(set(mapping.values())) != len(mapping):
-            return False
-        for a in self.elements:
-            for b in self.elements:
-                fwd = self.leq(a, b)
-                img = other.leq(mapping[a], mapping[b]) if not reverse \
-                    else other.leq(mapping[b], mapping[a])
-                if fwd != img:
-                    return False
-        return True
-
     def __repr__(self):
         return f"MeetSemilattice({self.size} elements)"
 
