@@ -36,11 +36,9 @@ True
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import (COVARIANT, DiagramMorphism, ShapedDiagram,
                       find_naturality_failure, register_identity)
-from .errors import ValidationError, as_int
+from .errors import Record, ValidationError, as_int
 from .snf import (IntegerRowLattice, invariant_factors_of_rows,
                   preimage_row_lattice)
 
@@ -318,8 +316,7 @@ class AbHom:
 register_identity(PresentedAbGroup, AbHom.identity)
 
 
-@dataclass
-class ColimitResult:
+class ColimitResult(Record):
     """Colimit presentation with its canonical injections.
 
     group: the quotient of the direct sum of node groups;
@@ -327,9 +324,11 @@ class ColimitResult:
     offsets: node id -> first generator position of its block.
     """
 
-    group: PresentedAbGroup
-    injections: dict
-    offsets: dict
+    __slots__ = ("group", "injections", "offsets")
+
+    def __init__(self, group: PresentedAbGroup, injections: dict,
+                 offsets: dict):
+        self.group, self.injections, self.offsets = group, injections, offsets
 
 
 def colimit(diagram: ShapedDiagram) -> ColimitResult:

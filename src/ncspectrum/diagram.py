@@ -21,9 +21,7 @@ homomorphisms compare modulo relations).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ValidationError
+from .errors import FrozenRecord, Record, ValidationError
 
 COVARIANT = "covariant"
 CONTRAVARIANT = "contravariant"
@@ -52,11 +50,11 @@ def maps_equal(f, g) -> bool:
     return f == g
 
 
-@dataclass(frozen=True)
-class Edge:
-    id: str
-    src: str
-    dst: str
+class Edge(FrozenRecord):
+    __slots__ = ("id", "src", "dst")
+
+    def __init__(self, id: str, src: str, dst: str):
+        self.id, self.src, self.dst = id, src, dst
 
 
 class Shape:
@@ -162,22 +160,22 @@ class ShapedDiagram:
                 f"{len(self.shape.edges)} edges)")
 
 
-@dataclass
-class DiagramMorphism:
+class DiagramMorphism(Record):
     """A pair (f, eta) between shaped diagrams.
 
-    node_map/edge_map describe f; components holds eta, one morphism per
+    node_map/edge_map describe f, edge_map sending an edge id to a path,
+    a tuple of target edge ids; components holds eta, one morphism per
     source node.  direction says which way components point relative to
     the two diagrams' node data.
     """
 
-    node_map: dict
-    edge_map: dict  # edge id -> tuple of target edge ids (a path)
-    components: dict
-    direction: str = FORWARD
+    __slots__ = ("node_map", "edge_map", "components", "direction")
 
-    def __post_init__(self):
-        self.edge_map = {k: tuple(v) for k, v in self.edge_map.items()}
+    def __init__(self, node_map: dict, edge_map: dict, components: dict,
+                 direction: str = FORWARD):
+        self.node_map, self.components = node_map, components
+        self.edge_map = {k: tuple(v) for k, v in edge_map.items()}
+        self.direction = direction
 
     @classmethod
     def identity(cls, diagram: ShapedDiagram) -> "DiagramMorphism":
@@ -247,14 +245,15 @@ def compose_morphisms(m2: DiagramMorphism, m1: DiagramMorphism) -> DiagramMorphi
     return DiagramMorphism(node_map, edge_map, components, FORWARD)
 
 
-@dataclass(frozen=True)
-class Functor:
+class Functor(FrozenRecord):
     """An object/morphism transformer between the data categories used here."""
 
-    on_object: callable
-    on_morphism: callable
-    contravariant: bool = False
-    name: str = ""
+    __slots__ = ("on_object", "on_morphism", "contravariant", "name")
+
+    def __init__(self, on_object: callable, on_morphism: callable,
+                 contravariant: bool = False, name: str = ""):
+        self.on_object, self.on_morphism = on_object, on_morphism
+        self.contravariant, self.name = contravariant, name
 
 
 def postcompose(functor: Functor, diagram: ShapedDiagram,

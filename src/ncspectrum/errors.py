@@ -1,4 +1,4 @@
-"""Exception types and the integer check shared across the package."""
+"""Exception types, the integer check and the record base of the package."""
 
 
 class ValidationError(ValueError):
@@ -38,3 +38,32 @@ def as_int(value, what: str) -> int:
     if not is_int(value):
         raise ValidationError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+class Record:
+    """Field-wise == and a repr naming the fields, read from __slots__,
+    which list the fields in constructor order.  Unhashable, as a
+    mutable value is; a FrozenRecord hashes by its fields."""
+
+    __slots__ = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A Record never changed after construction, so hashable."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._values())

@@ -21,11 +21,10 @@ atoms NOT in C.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .algebra import MultiMatrixAlgebra
 from .diagram import ShapedDiagram, postcompose
-from .errors import ValidationError, as_int
+from .errors import Record, ValidationError, as_int
 from .lattices import MeetSemilattice, compatible_masks, limit_semilattice
 from .subalgebra import CommSubalgebra, SpectrumFunctor, spectrum
 from .ktheory import SubdiagramSpec, build_subdiagram
@@ -87,21 +86,19 @@ def _atom_rule(edge, arrow):
     return edge.dst, edge.src, [1 << i for i in incidence]
 
 
-@dataclass
-class PartialIdeal:
+class PartialIdeal(Record):
     """A choice of atom subset at every node of a subdiagram."""
 
-    diagram: ShapedDiagram
-    choice: dict  # node id -> frozenset of atom indices
+    __slots__ = ("diagram", "choice")
 
-    def __post_init__(self):
-        nodes = set(self.diagram.shape.nodes)
-        if set(self.choice) != nodes:
+    def __init__(self, diagram: ShapedDiagram, choice: dict):
+        if set(choice) != set(diagram.shape.nodes):
             raise ValidationError("choice must cover every node")
+        self.diagram = diagram
         self.choice = {n: frozenset(as_int(i, "atom index") for i in s)
-                       for n, s in self.choice.items()}
+                       for n, s in choice.items()}
         for n, s in self.choice.items():
-            count = self.diagram.node_data[n].natoms
+            count = diagram.node_data[n].natoms
             if any(i < 0 or i >= count for i in s):
                 raise ValidationError(f"atom index out of range at node {n}")
 
@@ -150,12 +147,13 @@ def partial_from_total(ideal: TotalIdeal, diagram: ShapedDiagram) -> PartialIdea
     return PartialIdeal(diagram, choice)
 
 
-@dataclass
-class ReconstructionResult:
-    ok: bool
-    ideal: TotalIdeal | None = None
-    failing_node: str | None = None
-    detail: str = ""
+class ReconstructionResult(Record):
+    __slots__ = ("ok", "ideal", "failing_node", "detail")
+
+    def __init__(self, ok: bool, ideal: TotalIdeal | None = None,
+                 failing_node: str | None = None, detail: str = ""):
+        self.ok, self.ideal = ok, ideal
+        self.failing_node, self.detail = failing_node, detail
 
     def __bool__(self):
         return self.ok
@@ -229,8 +227,7 @@ def total_ideal_lattice(algebra: MultiMatrixAlgebra) -> MeetSemilattice:
     return MeetSemilattice(ideals, lambda a, b: a.blocks <= b.blocks)
 
 
-@dataclass
-class Conjecture1Report:
+class Conjecture1Report(Record):
     """Desk-scale check of the closed-ideal-lattice conjecture.
 
     Quantifiers in the source statements range over all commutative
@@ -238,15 +235,20 @@ class Conjecture1Report:
     subdiagram named in spec_used.
     """
 
-    algebra: MultiMatrixAlgebra
-    spec_used: str
-    t_tilde_size: int
-    ideal_count: int
-    lattice_iso_ok: bool
-    partial_ideal_count: int
-    round_trip_ok: bool
-    extra_families: int
-    witness: object = None
+    __slots__ = ("algebra", "spec_used", "t_tilde_size", "ideal_count",
+                 "lattice_iso_ok", "partial_ideal_count", "round_trip_ok",
+                 "extra_families", "witness")
+
+    def __init__(self, algebra: MultiMatrixAlgebra, spec_used: str,
+                 t_tilde_size: int, ideal_count: int, lattice_iso_ok: bool,
+                 partial_ideal_count: int, round_trip_ok: bool,
+                 extra_families: int, witness=None):
+        self.algebra, self.spec_used = algebra, spec_used
+        self.t_tilde_size, self.ideal_count = t_tilde_size, ideal_count
+        self.lattice_iso_ok = lattice_iso_ok
+        self.partial_ideal_count = partial_ideal_count
+        self.round_trip_ok, self.extra_families = round_trip_ok, extra_families
+        self.witness = witness
 
     @property
     def ok(self) -> bool:

@@ -23,7 +23,6 @@ silently accepted.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 from .abgroup import (AbHom, ColimitResult, PresentedAbGroup, _combine,
                       colimit, colimit_induced, element_eq, kernel)
@@ -32,8 +31,8 @@ from .algebra import (AlgebraElement, MultiMatrixAlgebra, StarHom,
                       transposition_unitary, unitalize)
 from .diagram import (COVARIANT, FORWARD, DiagramMorphism, Functor, Shape,
                       ShapedDiagram, find_path, postcompose)
-from .errors import (SubdiagramInsufficientError, ValidationError,
-                     VerificationError, as_int)
+from .errors import (FrozenRecord, Record, SubdiagramInsufficientError,
+                     ValidationError, VerificationError, as_int)
 from .snf import IntegerRowLattice
 from .subalgebra import (CommSubalgebra, FiniteSpace, SpaceMap,
                          SpectrumFunctor, SubalgebraArrow,
@@ -72,8 +71,7 @@ def partition_label(parts) -> str:
     return "|".join(",".join(str(c) for c in sorted(p)) for p in parts)
 
 
-@dataclass(frozen=True)
-class SubdiagramSpec:
+class SubdiagramSpec(FrozenRecord):
     """A finite generating set for the diagram of commutative subalgebras.
 
     The sampled diagram has three kinds of node: base nodes, which are
@@ -90,13 +88,13 @@ class SubdiagramSpec:
     coordinate sets; empty by default.
     """
 
-    rotations: tuple = ()
-    partitions: tuple = ()
-    label: str = "custom"
+    __slots__ = ("rotations", "partitions", "label")
 
-    def __post_init__(self):
-        object.__setattr__(self, "partitions", tuple(
-            tuple(frozenset(p) for p in parts) for parts in self.partitions))
+    def __init__(self, rotations=(), partitions=(), label: str = "custom"):
+        self.rotations = tuple(rotations)
+        self.partitions = tuple(tuple(frozenset(p) for p in parts)
+                                for parts in partitions)
+        self.label = label
 
     @classmethod
     def default(cls, algebra: MultiMatrixAlgebra) -> "SubdiagramSpec":
@@ -298,12 +296,13 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
     return ShapedDiagram(shape, node_data, edge_data, COVARIANT, meta=meta)
 
 
-@dataclass
-class KTildeContext:
-    algebra: MultiMatrixAlgebra
-    spec: SubdiagramSpec
-    diagram: ShapedDiagram
-    colim: ColimitResult
+class KTildeContext(Record):
+    __slots__ = ("algebra", "spec", "diagram", "colim")
+
+    def __init__(self, algebra: MultiMatrixAlgebra, spec: SubdiagramSpec,
+                 diagram: ShapedDiagram, colim: ColimitResult):
+        self.algebra, self.spec = algebra, spec
+        self.diagram, self.colim = diagram, colim
 
 
 class K0Group:
@@ -419,14 +418,13 @@ def k_tilde_f(algebra: MultiMatrixAlgebra, spec: SubdiagramSpec | None = None,
     return _ktilde_from(algebra, dia, colim)
 
 
-@dataclass
-class EtaResult:
+class EtaResult(Record):
     """The comparison isomorphism and both endpoint groups."""
 
-    hom: AbHom
-    k0: K0Group
-    ktilde: K0Group
-    m: int
+    __slots__ = ("hom", "k0", "ktilde", "m")
+
+    def __init__(self, hom: AbHom, k0: K0Group, ktilde: K0Group, m: int):
+        self.hom, self.k0, self.ktilde, self.m = hom, k0, ktilde, m
 
 
 def _check_eta_inverse(kt: K0Group):
@@ -492,17 +490,17 @@ def eta(algebra: MultiMatrixAlgebra, spec: SubdiagramSpec | None = None,
     return EtaResult(hom=hom, k0=k0, ktilde=kt, m=m)
 
 
-@dataclass
-class Theorem1Report:
-    algebra: MultiMatrixAlgebra
-    m: int
-    ok: bool
-    factors_match: bool
-    eta_ok: bool
-    ktilde_factors: tuple
-    k0_factors: tuple
-    error: str | None = None
-    witness: object = None
+class Theorem1Report(Record):
+    __slots__ = ("algebra", "m", "ok", "factors_match", "eta_ok",
+                 "ktilde_factors", "k0_factors", "error", "witness")
+
+    def __init__(self, algebra: MultiMatrixAlgebra, m: int, ok: bool,
+                 factors_match: bool, eta_ok: bool, ktilde_factors: tuple,
+                 k0_factors: tuple, error: str | None = None, witness=None):
+        self.algebra, self.m, self.ok = algebra, m, ok
+        self.factors_match, self.eta_ok = factors_match, eta_ok
+        self.ktilde_factors, self.k0_factors = ktilde_factors, k0_factors
+        self.error, self.witness = error, witness
 
     def __bool__(self):
         return self.ok
@@ -604,12 +602,11 @@ def _induced_k0_map(phi: StarHom, src_diagram: ShapedDiagram,
     return colim_src, colim_dst, induced
 
 
-@dataclass
-class NaturalityReport:
-    phi: StarHom
-    m: int
-    ok: bool
-    witness: object = None
+class NaturalityReport(Record):
+    __slots__ = ("phi", "m", "ok", "witness")
+
+    def __init__(self, phi: StarHom, m: int, ok: bool, witness=None):
+        self.phi, self.m, self.ok, self.witness = phi, m, ok, witness
 
     def __bool__(self):
         return self.ok

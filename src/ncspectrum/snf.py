@@ -22,9 +22,7 @@ does.  Entries are Python ints, so growth is unbounded but exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import ValidationError, as_int
+from .errors import Record, ValidationError, as_int
 
 
 def xgcd(a: int, b: int):
@@ -82,13 +80,13 @@ def integer_determinant(m) -> int:
     return sign * work[n - 1][n - 1] if n else 1
 
 
-@dataclass
-class SNFResult:
+class SNFResult(Record):
     """U*M*V = D with U, V unimodular and D = diag(d1 | d2 | ...)."""
 
-    U: list
-    D: list
-    V: list
+    __slots__ = ("U", "D", "V")
+
+    def __init__(self, U: list, D: list, V: list):
+        self.U, self.D, self.V = U, D, V
 
     @property
     def diagonal(self):

@@ -10,7 +10,6 @@ labelled spaces, and the spectrum map of every edge of a sampled
 diagram with the domination rule it caches.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -186,8 +185,8 @@ def test_empty_source_maps_anywhere():
 def _repeated_rotations():
     algebra = MultiMatrixAlgebra([2, 3])
     spec = SubdiagramSpec.default(algebra)
-    return build_subdiagram(algebra, dataclasses.replace(
-        spec, rotations=spec.rotations + spec.rotations[::-1]))
+    return build_subdiagram(algebra, SubdiagramSpec(
+        spec.rotations + spec.rotations[::-1], spec.partitions, spec.label))
 
 
 def _middle_partitions():
