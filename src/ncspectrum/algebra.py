@@ -19,16 +19,19 @@ still, and are held in it:
 - a rotation that permutes the diagonal coordinates, such as a
   transposition, a cycle or the image of one under a unital hom, is
   held as that coordinate permutation (InnerAutomorphism.permutation),
-  and conjugates a diagonal projection by permuting its coordinate set.
+  and conjugates a diagonal projection by permuting its coordinate set;
+- a Pythagorean rotation or its image under a unital hom is held as
+  its coordinate planes (InnerAutomorphism.plane), and conjugates a
+  diagonal projection by writing a fixed 2x2 block in each plane that
+  the projection splits.
 
-Any other rotation, such as the Pythagorean (Givens) one or a unitary
-given in a spec, is held by its unitary u.  Off its support (the
-coordinates it mixes) u is a unimodular diagonal, so it leaves alone
-every diagonal projection that contains all of its support or none of
-it, and conjugates the rest from the support's rows of u* alone.  Both
-forms of an element compare and hash alike; an element that is not a
-diagonal projection hashes by its nonempty rows.  Everything is
-immutable and pure.
+Any other rotation, such as a unitary given in a spec, is held by its
+unitary u.  Off its support (the coordinates it mixes) u is a
+unimodular diagonal, so it leaves alone every diagonal projection that
+contains all of its support or none of it, and conjugates the rest
+from the support's rows of u* alone.  Both forms of an element compare
+and hash alike; an element that is not a diagonal projection hashes by
+its nonempty rows.  Everything is immutable and pure.
 """
 
 from __future__ import annotations
@@ -36,10 +39,25 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import accumulate
 
-from .errors import ValidationError, as_int
+from .errors import ValidationError, as_int, is_int
 from .exact import ExactMatrix, GaussianRational, GR_ONE
 
 _UNSET = object()  # diag_mask not yet computed
+
+
+def _block_parts(algebra, ones, rows):
+    """One sparse matrix per block: global row r is rows[r], a dict over
+    global columns of r's block, when r is in rows; else the unit row of
+    r when r is in ones; else zero."""
+    parts = []
+    offset = 0
+    for n in algebra.blocks:
+        parts.append(ExactMatrix._from_sparse(n, n, (
+            {c - offset: e for c, e in rows[r].items()} if r in rows else
+            {r - offset: GR_ONE} if r in ones else {}
+            for r in range(offset, offset + n))))
+        offset += n
+    return tuple(parts)
 
 
 class MultiMatrixAlgebra:
@@ -134,14 +152,7 @@ class AlgebraElement:
     def parts(self):
         """One exact matrix per block; built on first read in mask form."""
         if self._parts is None:
-            parts = []
-            offset = 0
-            for n in self.algebra.blocks:
-                parts.append(ExactMatrix._from_sparse(n, n, (
-                    {i: GR_ONE} if offset + i in self._mask else {}
-                    for i in range(n))))
-                offset += n
-            self._parts = tuple(parts)
+            self._parts = _block_parts(self.algebra, self._mask, {})
         return self._parts
 
     def _known_mask(self):
@@ -386,11 +397,11 @@ class StarHom:
         """The image automorphism phi(alpha), conjugation by phi(u); phi
         must be unital so that phi(u) is unitary.
 
-        The image of a permutation rotation is the permutation rotation
-        read off the coordinate map: copy k of coordinate c goes to copy
-        k of coordinate perm[c].  Any other rotation's image is placed
-        blockwise and checked unitary.  Images are cached, so each one is
-        built and checked once per hom.
+        The image of a permutation or plane rotation is read off the
+        coordinate map: copy k of coordinate c goes to copy k of perm[c],
+        and copy k of a plane to a plane.  Any other rotation's image is
+        placed blockwise and checked unitary.  Images are cached, so each
+        one is built and checked once per hom.
         """
         key = (alpha, alpha.name)
         image = self._rotation_images.get(key)
@@ -401,10 +412,14 @@ class StarHom:
         if alpha.algebra != self.domain:
             raise ValidationError("rotation does not live in the hom's domain")
         name = f"phi({alpha.name})"
-        if alpha.coord_perm is None:
+        cmap = self.coord_map
+        if alpha.planes is not None:
+            image = InnerAutomorphism.plane(self.codomain, [
+                pair for i, j in alpha.planes for pair in zip(cmap[i], cmap[j])
+            ], name)
+        elif alpha.coord_perm is None:
             image = InnerAutomorphism(self.apply(alpha.u), name=name)
         else:
-            cmap = self.coord_map
             perm = [None] * self.codomain.coord_count
             for c, targets in enumerate(cmap):
                 for d, e in zip(targets, cmap[alpha.coord_perm[c]]):
@@ -480,32 +495,44 @@ def _check_assignment(assignment, multiplicity):
                     f"0..{mult[j] - 1} of domain block {j} once each")
 
 
+_PYTH_COS, _PYTH_SIN = GaussianRational("3/5"), GaussianRational("4/5")
+# v v* = (x, y; y, z) in a plane (i, j) for v = u e_i = (3/5, -4/5), u e_j
+_PLANE_VV_I = tuple(map(GaussianRational, ("9/25", "-12/25", "16/25")))
+_PLANE_VV_J = (_PLANE_VV_I[2], -_PLANE_VV_I[1], _PLANE_VV_I[0])
+
+
 class InnerAutomorphism:
     """Conjugation a -> u a u* by a unitary element u.
 
     A rotation built by permutation() holds coord_perm, the permutation
-    of the global diagonal coordinates that u induces, and builds u only
-    when it is read; it conjugates a diagonal projection by permuting
-    its coordinates.  A rotation given by its u is checked unitary and
-    has coord_perm None; it returns a diagonal projection unchanged when
-    the projection's mask contains all of u's support or none of it
-    (see support), and otherwise builds it from the support's rows of
-    u*.  Any other element is conjugated by sparse products.  Equal
-    rotations have equal supports, which are compared first.
+    of the global diagonal coordinates that u induces, and one built by
+    plane() holds planes; both build u only when it is read.  A rotation
+    given by its u is checked unitary and has both None.  Each returns
+    a diagonal projection unchanged when its mask contains all of u's
+    support or none of it (see support), and otherwise permutes its
+    coordinates, writes v v* in each plane it splits, or builds it from
+    the support's rows of u*.  Any other element is conjugated by
+    sparse products.  Equal rotations have equal supports, which are
+    compared first.
     """
 
     __slots__ = ("algebra", "_u", "_u_adjoint", "name", "coord_perm",
-                 "_support")
+                 "planes", "_support")
 
     def __init__(self, u: AlgebraElement, name: str = ""):
         if not u.is_unitary():
             raise ValidationError("conjugating element must be unitary in every block")
-        self.algebra = u.algebra
-        self._u = u
-        self._u_adjoint = None
-        self.name = name or "u"
-        self.coord_perm = None
-        self._support = None
+        self.algebra, self._u, self.name = u.algebra, u, name or "u"
+        self._u_adjoint = self._support = self.coord_perm = self.planes = None
+
+    @classmethod
+    def _held(cls, algebra, name, coord_perm=None, planes=None):
+        """A rotation held by its structure, u not yet built."""
+        self = object.__new__(cls)
+        self.algebra, self.name = algebra, name
+        self._u = self._u_adjoint = self._support = None
+        self.coord_perm, self.planes = coord_perm, planes
+        return self
 
     @classmethod
     def permutation(cls, algebra: MultiMatrixAlgebra, perm,
@@ -526,29 +553,42 @@ class InnerAutomorphism:
                 raise ValidationError(
                     f"coordinate permutation moves {c} from block {owner[c]} "
                     f"to block {owner[p]}")
-        self = object.__new__(cls)
-        self.algebra = algebra
-        self._u = None
-        self._u_adjoint = None
-        self.name = name or "perm"
-        self.coord_perm = perm
-        self._support = None
-        return self
+        return cls._held(algebra, name or "perm", coord_perm=perm)
+
+    @classmethod
+    def plane(cls, algebra: MultiMatrixAlgebra, pairs,
+              name: str = "") -> "InnerAutomorphism":
+        """Conjugation by the unitary that is [[3/5, 4/5], [-4/5, 3/5]] on
+        the coordinates (i, j) of each pair and the identity elsewhere.
+        The pairs must be disjoint and each inside one block; u is then
+        unitary by construction."""
+        pairs = tuple(tuple(p) for p in pairs)
+        coords = [c for p in pairs for c in p]
+        n, ends = algebra.coord_count, list(accumulate(algebra.blocks))
+        if any(len(p) != 2 for p in pairs) \
+                or not all(is_int(c) and 0 <= c < n for c in coords) \
+                or len(set(coords)) != len(coords) or any(
+                    bisect_right(ends, i) != bisect_right(ends, j)
+                    for i, j in pairs):
+            raise ValidationError(f"rotation planes must be disjoint pairs "
+                                  f"of range({n}), each inside one block")
+        return cls._held(algebra, name or "plane", planes=tuple(sorted(pairs)))
 
     @property
     def u(self) -> AlgebraElement:
         """The conjugating unitary; built on first read for a permutation
-        rotation, with u e_c = e_perm[c]."""
+        rotation, with u e_c = e_perm[c], and for a plane rotation."""
         if self._u is None:
-            parts = []
-            offset = 0
-            for m in self.algebra.blocks:
-                rows = [None] * m
-                for c in range(m):
-                    rows[self.coord_perm[offset + c] - offset] = {c: GR_ONE}
-                parts.append(ExactMatrix._from_sparse(m, m, rows))
-                offset += m
-            self._u = AlgebraElement(self.algebra, parts)
+            if self.planes is None:
+                ones, rows = (), {p: {c: GR_ONE}
+                                  for c, p in enumerate(self.coord_perm)}
+            else:
+                ones, rows = range(self.algebra.coord_count), {}
+                c, s = _PYTH_COS, _PYTH_SIN
+                for i, j in self.planes:
+                    rows[i], rows[j] = {i: c, j: s}, {i: -s, j: c}
+            self._u = AlgebraElement(self.algebra,
+                                     _block_parts(self.algebra, ones, rows))
         return self._u
 
     @property
@@ -567,6 +607,8 @@ class InnerAutomorphism:
         if self._support is None:
             if self.coord_perm is not None:
                 support = {c for c, p in enumerate(self.coord_perm) if c != p}
+            elif self.planes is not None:
+                support = {c for pair in self.planes for c in pair}
             else:
                 support = set()
                 offset = 0
@@ -589,8 +631,21 @@ class InnerAutomorphism:
             if self.coord_perm is not None:
                 return AlgebraElement._from_mask(
                     a.algebra, frozenset(self.coord_perm[c] for c in mask))
+            if self.planes is not None:
+                return self._conjugate_planes(a, mask)
             return self._conjugate_mask(mask)
         return self.u * a * self.u_adjoint
+
+    def _conjugate_planes(self, a, mask):
+        """u P u* for the diagonal projection P on mask: P, but v v* for
+        v = u e_k in each plane that holds one coordinate k of mask."""
+        rows = {}
+        for i, j in self.planes:
+            if (i in mask) != (j in mask):
+                x, y, z = _PLANE_VV_I if i in mask else _PLANE_VV_J
+                rows[i], rows[j] = {i: x, j: y}, {i: y, j: z}
+        return AlgebraElement(self.algebra, _block_parts(
+            self.algebra, mask, rows)) if rows else a
 
     def _conjugate_mask(self, mask):
         """u P u* for the diagonal projection P on mask: P off the
@@ -624,6 +679,9 @@ class InnerAutomorphism:
 
     def inverse(self) -> "InnerAutomorphism":
         name = f"{self.name}^-1"
+        if self.planes is not None:
+            return InnerAutomorphism.plane(
+                self.algebra, [(j, i) for i, j in self.planes], name)
         if self.coord_perm is None:
             return InnerAutomorphism(self.u_adjoint, name=name)
         perm = [0] * len(self.coord_perm)
@@ -637,13 +695,16 @@ class InnerAutomorphism:
     def __eq__(self, other):
         if not isinstance(other, InnerAutomorphism):
             return NotImplemented
-        if self.coord_perm is not None and other.coord_perm is not None:
-            return (self.algebra == other.algebra
-                    and self.coord_perm == other.coord_perm)
-        # equal unitaries have equal supports, read without building u
-        # for a permutation rotation
-        return (self.algebra == other.algebra
-                and self.support == other.support and self.u == other.u)
+        # equal unitaries have equal supports, read without building u.
+        # Two held rotations compare what they hold; a permutation and a
+        # plane rotation (entries 3/5) are equal only as the identity
+        if self.algebra != other.algebra or self.support != other.support:
+            return False
+        if None in (self.coord_perm or self.planes,
+                    other.coord_perm or other.planes):
+            return self.u == other.u
+        return (self.coord_perm == other.coord_perm
+                and self.planes == other.planes) or not self.support
 
     def __hash__(self):
         return hash((self.algebra, self.support))
@@ -680,22 +741,15 @@ def cycle_unitary(algebra: MultiMatrixAlgebra, block: int) -> InnerAutomorphism:
                                          name=f"cycle[b{block}]")
 
 
-_PYTH_COS, _PYTH_SIN = GaussianRational("3/5"), GaussianRational("4/5")
-
-
 def pythagorean_unitary(algebra: MultiMatrixAlgebra, block: int) -> InnerAutomorphism:
     """The rotation [[3/5,4/5],[-4/5,3/5]] on the first two coordinates
     of a block, identity elsewhere; an exactly representable non-permutation
-    unitary."""
-    n = algebra.blocks[block]
-    if n < 2:
+    unitary, held as that one plane."""
+    if algebra.blocks[block] < 2:
         raise ValidationError("Pythagorean rotation needs a block of size >= 2")
-    c, s = _PYTH_COS, _PYTH_SIN
-    parts = [ExactMatrix.identity(m) for m in algebra.blocks]
-    rows = [{0: c, 1: s}, {0: -s, 1: c}] + [{i: GR_ONE} for i in range(2, n)]
-    parts[block] = ExactMatrix._from_sparse(n, n, rows)
-    return InnerAutomorphism(AlgebraElement(algebra, parts),
-                             name=f"pyth[b{block}]")
+    offset = algebra.block_offset(block)
+    return InnerAutomorphism.plane(algebra, [(offset, offset + 1)],
+                                   name=f"pyth[b{block}]")
 
 
 def stabilize(algebra: MultiMatrixAlgebra, m: int, hom: StarHom | None = None):

@@ -86,6 +86,20 @@ def _atom_rule(edge, arrow):
     return edge.dst, edge.src, [1 << i for i in incidence]
 
 
+def _atom_rules(diagram: ShapedDiagram):
+    """(edge, kind) + _atom_rule per inclusion and rotation edge, read
+    once per diagram and kept in its meta beside its own edge_data."""
+    held = diagram.meta.get("atom_rules")
+    if held is None or held[0] is not diagram.edge_data:
+        held = diagram.edge_data, [
+            (e, arrow.kind) + _atom_rule(e, arrow)
+            for e in diagram.shape.edges
+            for arrow in (diagram.edge_data[e.id],)
+            if arrow.kind in ("inclusion", "rotation")]
+        diagram.meta["atom_rules"] = held
+    return held[1]
+
+
 class PartialIdeal(Record):
     """A choice of atom subset at every node of a subdiagram."""
 
@@ -105,11 +119,9 @@ class PartialIdeal(Record):
     def _first_failure(self, kind):
         """First edge of the kind whose rule the choice breaks, as
         (edge id, expected choice at the rule's target), or None."""
-        for e in self.diagram.shape.edges:
-            arrow = self.diagram.edge_data[e.id]
-            if arrow.kind != kind:
+        for e, rule_kind, target, source, needs in _atom_rules(self.diagram):
+            if rule_kind != kind:
                 continue
-            target, source, needs = _atom_rule(e, arrow)
             chosen = _mask(self.choice[source])
             expected = frozenset(t for t, m in enumerate(needs)
                                  if chosen & m == m)
@@ -195,12 +207,9 @@ def enumerate_partial_ideals(diagram: ShapedDiagram, rotation_fixed=True):
     nodes = list(diagram.shape.nodes)
     index = {n: k for k, n in enumerate(nodes)}
     kinds = ("inclusion", "rotation") if rotation_fixed else ("inclusion",)
-    links = []
-    for e in diagram.shape.edges:
-        arrow = diagram.edge_data[e.id]
-        if arrow.kind in kinds:
-            target, source, needs = _atom_rule(e, arrow)
-            links.append((index[target], index[source], needs, False))
+    links = [(index[target], index[source], needs, False)
+             for _e, kind, target, source, needs in _atom_rules(diagram)
+             if kind in kinds]
     sizes = [diagram.node_data[n].natoms for n in nodes]
     return [PartialIdeal(diagram, dict(zip(nodes, map(_indices, masks))))
             for masks in compatible_masks(sizes, links, int)]

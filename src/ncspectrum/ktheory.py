@@ -10,25 +10,26 @@ explicit inverse on generators.
 The full diagram of commutative subalgebras is infinite; any finite
 sample that still generates its identifications has the same colimit.
 The default sample is such a generating set: the coarsest and the
-finest diagonal partition, rotated copies under one permutation per
-block (the swap of a 2-block, the cycle of a larger one) and one
-Pythagorean rotation for the whole algebra, inclusion edges between
-them and a rotation edge per rotation at each base node.  A
-diagram that a morphism maps into is closed under the images of the
-source's base nodes and rotations (image_closed_spec).  When a sample
-is too coarse for an isomorphism check, that is reported loudly, never
-silently accepted.
+finest diagonal partition, rotated copies under one permutation (the
+product of every block's cycle) and one Pythagorean rotation for the
+whole algebra, inclusion edges between them and a rotation edge per
+rotation at each base node.  A diagram that a morphism maps into is
+closed under the images of the source's base nodes and rotations
+(image_closed_spec).  When a sample is too coarse for an isomorphism
+check, that is reported loudly, never silently accepted.
 """
 
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
+from collections import Counter
+from itertools import accumulate
 
 from .abgroup import (AbHom, ColimitResult, PresentedAbGroup, _combine,
                       colimit, colimit_induced, element_eq, kernel)
-from .algebra import (AlgebraElement, MultiMatrixAlgebra, StarHom,
-                      cycle_unitary, pythagorean_unitary, stabilize,
-                      transposition_unitary, unitalize)
+from .algebra import (AlgebraElement, InnerAutomorphism, MultiMatrixAlgebra,
+                      StarHom, pythagorean_unitary, stabilize, unitalize)
 from .diagram import (COVARIANT, FORWARD, DiagramMorphism, Functor, Shape,
                       ShapedDiagram, find_path, postcompose)
 from .errors import (FrozenRecord, Record, SubdiagramInsufficientError,
@@ -98,20 +99,21 @@ class SubdiagramSpec(FrozenRecord):
 
     @classmethod
     def default(cls, algebra: MultiMatrixAlgebra) -> "SubdiagramSpec":
-        """One permutation per block of size n >= 2, in block order: the
-        transposition (0 1) when n = 2, the n-cycle c -> c + 1 mod n when
-        n >= 3; then one Pythagorean rotation for the whole algebra, on
-        its first largest block when that has size >= 2.  A permutation
-        maps the coarsest and the finest node onto themselves, so only
-        that rotation builds a sheet of new atoms, and the sample grows
-        linearly with the coordinates."""
-        rotations = [transposition_unitary(algebra, b, 0, 1) if n == 2 else
-                     cycle_unitary(algebra, b)
-                     for b, n in enumerate(algebra.blocks) if n >= 2]
+        """When some block has size >= 2: the permutation cycles, the
+        product of every block's cycle c -> c + 1 mod n (the swap of a
+        2-block), and one Pythagorean rotation on the first largest
+        block.  A permutation maps the coarsest and the finest node onto
+        themselves, so only the Pythagorean rotation builds a sheet of
+        new atoms, and the sample grows linearly with the coordinates."""
         big = max(range(algebra.nblocks), key=lambda b: algebra.blocks[b])
-        if algebra.blocks[big] >= 2:
-            rotations.append(pythagorean_unitary(algebra, big))
-        return cls(rotations=tuple(rotations), label="default")
+        if algebra.blocks[big] < 2:
+            return cls(label="default")
+        perm = [offset + (c + 1) % n for offset, n in
+                zip(accumulate(algebra.blocks, initial=0), algebra.blocks)
+                for c in range(n)]
+        return cls(rotations=(
+            InnerAutomorphism.permutation(algebra, perm, "cycles"),
+            pythagorean_unitary(algebra, big)), label="default")
 
     def describe(self) -> str:
         names = ",".join(a.name for a in self.rotations)
@@ -441,9 +443,14 @@ def _check_eta_inverse(kt: K0Group):
     """
     ctx = kt.context
     nodes = ctx.diagram.node_data
-    rank_words = [{b: r for b, r in enumerate(atom.rank_vector()) if r}
-                  for nid in ctx.diagram.shape.nodes
-                  for atom in nodes[nid].atoms]
+    ends = list(accumulate(ctx.algebra.blocks))
+
+    # a mask counts each coordinate into the first block ending past it
+    rank_words = [
+        Counter(bisect_right(ends, c) for c in atom.diag_mask)
+        if atom.diag_mask is not None else
+        {b: r for b, r in enumerate(atom.rank_vector()) if r}
+        for nid in ctx.diagram.shape.nodes for atom in nodes[nid].atoms]
 
     def vector(word):
         return tuple(word.get(b, 0) for b in range(kt.nblocks))
@@ -461,10 +468,20 @@ def _check_eta_inverse(kt: K0Group):
                 "block class anchor has the wrong rank vector",
                 witness={"block": i, "rank_vector": vector(word)})
 
+    # Only the roots of the identification classes are tested.  The
+    # first check maps each identifying relation g - h to zero, so the
+    # members of a class share one rank word, and back(g) = back(rep g).
+    # Then g - back(g) = (g - rep g) + (rep g - back(rep g)), where
+    # g - rep g lies in the lattice: g passes iff its root does.  A root
+    # is the least member of its class, so the first generator to fail
+    # in index order is a root, with the same message and witness.
     lattice = kt.group.lattice
+    rep = lattice.rep
     for nid, off in ctx.colim.offsets.items():
         for i in range(nodes[nid].natoms):
             g = off + i
+            if rep[g] != g:
+                continue
             back = _combine(rank_words[g].items(), kt.block_words)
             if not lattice.contains(
                     _combine(((0, 1), (1, -1)), ({g: 1}, back))):

@@ -123,7 +123,7 @@ class TestConjugate:
             InnerAutomorphism(diagonal_projection(M2, [0]))
 
     def test_dense_rotation_builds_its_adjoint_once(self, monkeypatch):
-        alpha = pythagorean_unitary(M23, 1)
+        alpha = InnerAutomorphism(pythagorean_unitary(M23, 1).u)
         calls = []
         adjoint = AlgebraElement.adjoint
 

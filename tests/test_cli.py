@@ -626,6 +626,11 @@ _DENSE_CHOICE_TEXT = ["compatible: no", "rotation-fixed: no",
                       "witness edge: i:d:0,1,2,3=>r0:d:0|1|2|3",
                       "witness rotation edge: t0:d:0|1|2|3"]
 
+_IDEALS_TEXT = [
+    "total ideals: 4", "t_tilde lattice: 4 elements",
+    "lattice isomorphism: PASS", "partial-ideal round trip: PASS",
+    "spec: default(rotations=[cycles,pyth[b1]], partitions=[])"]
+
 # (argv, exit code, text lines or the JSON object printed); "SPEC" stands
 # for a file holding DENSE_SPEC
 GOLDEN = [
@@ -647,11 +652,11 @@ GOLDEN = [
       "text": ["theorem1 (m=2): PASS",
                "random naturality (20 homs, seed 0): PASS"],
       "theorem1": _THEOREM1_PASS}),
-    (("ideals", "--algebra", '{"blocks":[2,3]}'), 0,
-     ["total ideals: 4", "t_tilde lattice: 4 elements",
-      "lattice isomorphism: PASS", "partial-ideal round trip: PASS",
-      "spec: default(rotations=[swap[b0:0,1],cycle[b1],pyth[b1]], "
-      "partitions=[])"]),
+    (("ideals", "--algebra", '{"blocks":[2,3]}'), 0, _IDEALS_TEXT),
+    (("--format", "json", "ideals", "--algebra", '{"blocks":[2,3]}'), 0,
+     {"ideal_count": 4, "lattice_iso": True, "partial_ideal_count": 4,
+      "round_trip": True, "spec": _IDEALS_TEXT[-1][len("spec: "):],
+      "t_tilde_size": 4, "text": _IDEALS_TEXT, "witness": None}),
     (("k0", "--algebra", '{"blocks":[2]}', "--method", "diagram",
       "--stabilize", "2", "--spec", "SPEC"), 0,
      ["Z^3", "block 0: class {'1': 1}"]),

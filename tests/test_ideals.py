@@ -1,12 +1,13 @@
 import pytest
 
 from ncspectrum import (AlgebraElement, MultiMatrixAlgebra, PartialIdeal,
-                        SubdiagramSpec, TotalIdeal, ValidationError,
-                        build_subdiagram, diagonal_projection,
-                        enumerate_partial_ideals, is_rotation_fixed,
-                        partial_from_total, reconstruct_total, restrict_total,
-                        span_subalgebra, t_tilde, total_ideal_lattice,
-                        transposition_unitary, verify_conjecture1)
+                        ShapedDiagram, SubdiagramSpec, TotalIdeal,
+                        ValidationError, build_subdiagram,
+                        diagonal_projection, enumerate_partial_ideals, ideals,
+                        is_rotation_fixed, partial_from_total,
+                        reconstruct_total, restrict_total, span_subalgebra,
+                        t_tilde, total_ideal_lattice, transposition_unitary,
+                        verify_conjecture1)
 
 M2 = MultiMatrixAlgebra([2])
 M23 = MultiMatrixAlgebra([2, 3])
@@ -202,3 +203,27 @@ class TestConjecture1:
         lat = total_ideal_lattice(M23)
         assert lat.size == 4
         assert lat.top == TotalIdeal(M23, [0, 1])
+
+
+def test_edge_rules_are_read_once_per_diagram(monkeypatch):
+    calls = []
+    rule = ideals._atom_rule
+
+    def counted(edge, arrow):
+        calls.append(edge.id)
+        return rule(edge, arrow)
+    monkeypatch.setattr(ideals, "_atom_rule", counted)
+    algebra = MultiMatrixAlgebra([1, 2, 2])
+    dia = build_subdiagram(algebra)
+    report = verify_conjecture1(algebra, SubdiagramSpec.default(algebra))
+    assert report.ok
+    # verify_conjecture1 builds its own diagram: one rule per edge of it
+    assert sorted(calls) == sorted(e.id for e in dia.shape.edges)
+    # a diagram given another's meta (and so its rules) reads its own
+    del calls[:]
+    assert partial_from_total(TotalIdeal(algebra, [1]), dia).is_compatible()
+    bare = ShapedDiagram(dia.shape, dia.node_data,
+                         {e.id: dia.edge_data[e.id] for e in dia.shape.edges},
+                         meta=dict(dia.meta))
+    assert partial_from_total(TotalIdeal(algebra, [1]), bare).is_compatible()
+    assert len(calls) == 2 * len(dia.shape.edges)

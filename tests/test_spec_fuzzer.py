@@ -8,7 +8,8 @@ partitions and Pythagorean, cycle, transposition and signed-permutation
 rotations.  For Theorem 1 and for each naturality square (the spec on
 the domain) the outcome must be a PASS with the group of k0_standard or
 SubdiagramInsufficientError: never a wrong group and never a failed
-verdict.  The default sample and the per-block oracle must both PASS
+verdict.  The default sample, the per-block oracle and the per-block
+permutation spec (the default before it held one permutation) must PASS
 on every draw, and on the rotation edges of every drawn diagram the
 spectrum map that build_subdiagram records from the placement must be
 the one the arrow computes from its atom images.
@@ -27,6 +28,8 @@ from ncspectrum import (AlgebraElement, ExactMatrix, GaussianRational,
                         sample_unital_hom, stabilize, transposition_unitary,
                         unitalize, verify_conjecture1,
                         verify_naturality_square, verify_theorem1)
+from ncspectrum.ktheory import _check_eta_inverse
+from test_eta_inverse import dense_check, outcome
 from test_subdiagram_oracle import per_block_spec
 
 FUZZ_SEED = 20261020
@@ -205,3 +208,91 @@ def test_pythagorean_atom_resolves_only_in_its_host_block():
     oracle = k_tilde_f(algebra, per_block_spec(algebra))
     assert element_eq(oracle.group, oracle.class_of_projection(stray),
                       oracle.class_of((1, 0)))
+
+
+# The default sample before its permutations were one for the whole
+# algebra: the swap (0 1) of each 2-block and the cycle of each larger
+# block, then the one Pythagorean rotation on the first largest block.
+def per_block_permutation_spec(algebra):
+    rotations = [transposition_unitary(algebra, b, 0, 1) if n == 2 else
+                 cycle_unitary(algebra, b)
+                 for b, n in enumerate(algebra.blocks) if n >= 2]
+    big = max(range(algebra.nblocks), key=lambda b: algebra.blocks[b])
+    if algebra.blocks[big] >= 2:
+        rotations.append(pythagorean_unitary(algebra, big))
+    return SubdiagramSpec(rotations=tuple(rotations),
+                          label="per-block-permutation")
+
+
+def test_default_is_one_permutation_and_one_plane():
+    algebra = MultiMatrixAlgebra([2, 1, 3])
+    cycles, pyth = SubdiagramSpec.default(algebra).rotations
+    assert cycles.name == "cycles" and pyth.name == "pyth[b2]"
+    assert cycles.coord_perm == (1, 0, 2, 4, 5, 3)
+    assert pyth.planes == ((3, 4),)
+    assert SubdiagramSpec.default(MultiMatrixAlgebra([1, 1])).rotations == ()
+    # the product of the block cycles moves the finest node as they do
+    per_block = per_block_permutation_spec(algebra).rotations[:-1]
+    for c in range(algebra.coord_count):
+        atom = diagonal_projection(algebra, {c})
+        moved = [a.conjugate(atom) for a in per_block]
+        assert cycles.conjugate(atom) in moved + [atom]
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_theorem1_with_the_per_block_permutation_spec(m):
+    rng = random.Random(FUZZ_SEED + 100 + m)
+    for _ in range(60):
+        algebra = draw_algebra(rng)
+        stabilized, _ = stabilize(algebra, m)
+        want = verify_theorem1(algebra, per_block_permutation_spec(stabilized),
+                               m=m)
+        got = verify_theorem1(algebra, m=m)
+        assert want.ok and got.ok, algebra
+        assert got.ktilde_factors == want.ktilde_factors
+        assert k_tilde_f(stabilized).block_words == k_tilde_f(
+            stabilized, per_block_permutation_spec(stabilized)).block_words
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_naturality_with_the_per_block_permutation_spec(m):
+    rng = random.Random(FUZZ_SEED + 200 + m)
+    for _ in range(40):
+        phi = sample_unital_hom(rng, max_total_dim=10)
+        stabilized, _ = stabilize(phi.domain, m)
+        assert verify_naturality_square(
+            phi, per_block_permutation_spec(stabilized), m=m).ok, phi
+
+
+def test_conjecture1_with_the_per_block_permutation_spec():
+    def fields(report):
+        return {name: getattr(report, name)
+                for name in report.__slots__ if name != "spec_used"}
+
+    rng = random.Random(FUZZ_SEED + 300)
+    draws = 0
+    while draws < 40:
+        algebra = draw_algebra(rng)
+        if algebra.coord_count > 6:
+            continue
+        draws += 1
+        assert fields(verify_conjecture1(algebra)) == fields(
+            verify_conjecture1(algebra, per_block_permutation_spec(algebra)))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_eta_check_on_roots_agrees_with_the_dense_check(m):
+    # the library tests the right inverse on the roots of the
+    # identification classes only; the dense oracle tests every generator
+    rng = random.Random(FUZZ_SEED + 400 + m)
+    outcomes = set()
+    for _ in range(60):
+        algebra = draw_algebra(rng)
+        stabilized, _ = stabilize(algebra, m)
+        for spec in (None, draw_spec(stabilized, rng),
+                     draw_spec(stabilized, rng)):
+            kt = k_tilde_f(stabilized, spec)
+            want = outcome(dense_check, kt)
+            assert outcome(_check_eta_inverse, kt) == want, algebra
+            outcomes.add(want is None)
+    assert outcomes == {True, False}
