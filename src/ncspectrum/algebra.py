@@ -61,15 +61,17 @@ def _block_parts(algebra, ones, rows):
 
 
 class MultiMatrixAlgebra:
-    """The algebra M_{n1} + ... + M_{nk} over Gaussian rationals."""
+    """The algebra M_{n1} + ... + M_{nk} over Gaussian rationals; ends
+    holds the cumulative block sizes (block i ends before ends[i])."""
 
-    __slots__ = ("blocks",)
+    __slots__ = ("blocks", "ends")
 
     def __init__(self, blocks):
         blocks = tuple(as_int(b, "block size") for b in blocks)
         if not blocks or any(b < 1 for b in blocks):
             raise ValidationError(f"invalid block sizes {blocks!r}")
         self.blocks = blocks
+        self.ends = tuple(accumulate(blocks))
 
     @property
     def nblocks(self) -> int:
@@ -83,11 +85,11 @@ class MultiMatrixAlgebra:
     @property
     def coord_count(self) -> int:
         """Total number of diagonal coordinates, sum of block sizes."""
-        return sum(self.blocks)
+        return self.ends[-1]
 
     def block_offset(self, i: int) -> int:
         """Global index of the first diagonal coordinate of block i."""
-        return sum(self.blocks[:i])
+        return self.ends[i] - self.blocks[i]
 
     def element(self, parts) -> "AlgebraElement":
         return AlgebraElement(self, parts)
@@ -216,7 +218,7 @@ class AlgebraElement:
         if mask is None:
             return tuple(p.rank() for p in self.parts)
         # count each coordinate into the block whose end first exceeds it
-        ends = list(accumulate(self.algebra.blocks))
+        ends = self.algebra.ends
         ranks = [0] * len(ends)
         for c in mask:
             ranks[bisect_right(ends, c)] += 1
@@ -482,7 +484,7 @@ def _check_assignment(assignment, multiplicity):
     for i, (row, mult) in enumerate(zip(assignment, multiplicity)):
         copies = [[] for _ in mult]
         for slot in row:
-            if len(slot) != 2 or not all(isinstance(x, int) for x in slot) \
+            if len(slot) != 2 or not all(type(x) is int for x in slot) \
                     or not 0 <= slot[0] < len(mult):
                 raise ValidationError(
                     f"assignment slot {list(slot)!r} in codomain block {i} "
@@ -543,16 +545,18 @@ class InnerAutomorphism:
         permutation matrix is then unitary by construction."""
         perm = tuple(perm)
         n = algebra.coord_count
-        if len(perm) != n or not all(isinstance(p, int) for p in perm) \
+        if len(perm) != n or not all(type(p) is int for p in perm) \
                 or set(perm) != set(range(n)):
             raise ValidationError(
                 f"coordinate permutation must be a bijection of range({n})")
-        owner = [b for b, m in enumerate(algebra.blocks) for _ in range(m)]
-        for c, p in enumerate(perm):
-            if owner[c] != owner[p]:
-                raise ValidationError(
-                    f"coordinate permutation moves {c} from block {owner[c]} "
-                    f"to block {owner[p]}")
+        start = 0
+        for b, end in enumerate(algebra.ends):
+            for c in range(start, end):
+                if not start <= perm[c] < end:
+                    raise ValidationError(
+                        f"coordinate permutation moves {c} from block {b} to "
+                        f"block {bisect_right(algebra.ends, perm[c])}")
+            start = end
         return cls._held(algebra, name or "perm", coord_perm=perm)
 
     @classmethod
@@ -564,7 +568,7 @@ class InnerAutomorphism:
         unitary by construction."""
         pairs = tuple(tuple(p) for p in pairs)
         coords = [c for p in pairs for c in p]
-        n, ends = algebra.coord_count, list(accumulate(algebra.blocks))
+        n, ends = algebra.coord_count, algebra.ends
         if any(len(p) != 2 for p in pairs) \
                 or not all(is_int(c) and 0 <= c < n for c in coords) \
                 or len(set(coords)) != len(coords) or any(

@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 from bisect import bisect_right
 from collections import Counter
-from itertools import accumulate
 
 from .abgroup import (AbHom, ColimitResult, PresentedAbGroup, _combine,
                       colimit, colimit_induced, element_eq, kernel)
@@ -108,8 +107,8 @@ class SubdiagramSpec(FrozenRecord):
         big = max(range(algebra.nblocks), key=lambda b: algebra.blocks[b])
         if algebra.blocks[big] < 2:
             return cls(label="default")
-        perm = [offset + (c + 1) % n for offset, n in
-                zip(accumulate(algebra.blocks, initial=0), algebra.blocks)
+        perm = [end - n + (c + 1) % n
+                for end, n in zip(algebra.ends, algebra.blocks)
                 for c in range(n)]
         return cls(rotations=(
             InnerAutomorphism.permutation(algebra, perm, "cycles"),
@@ -443,7 +442,7 @@ def _check_eta_inverse(kt: K0Group):
     """
     ctx = kt.context
     nodes = ctx.diagram.node_data
-    ends = list(accumulate(ctx.algebra.blocks))
+    ends = ctx.algebra.ends
 
     # a mask counts each coordinate into the first block ending past it
     rank_words = [

@@ -29,6 +29,16 @@ def test_non_integer_sizes_are_rejected(build):
         build()
 
 
+@pytest.mark.parametrize("build", [
+    lambda: InnerAutomorphism.permutation(M2, [True, False]),
+    lambda: StarHom(MultiMatrixAlgebra([1]), M2, [[2]], unital=True,
+                    assignment=[[(False, True), (False, False)]]),
+], ids=["bool permutation", "bool assignment slot"])
+def test_bools_are_not_coordinates(build):
+    with pytest.raises(ValidationError):
+        build()
+
+
 class TestApplyHom:
     def test_identity(self):
         phi = StarHom.identity(M2)

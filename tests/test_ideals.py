@@ -1,12 +1,12 @@
 import pytest
 
 from ncspectrum import (AlgebraElement, MultiMatrixAlgebra, PartialIdeal,
-                        ShapedDiagram, SubdiagramSpec, TotalIdeal,
-                        ValidationError, build_subdiagram,
-                        diagonal_projection, enumerate_partial_ideals, ideals,
-                        is_rotation_fixed, partial_from_total,
-                        reconstruct_total, restrict_total, span_subalgebra,
-                        t_tilde, total_ideal_lattice, transposition_unitary,
+                        SubdiagramSpec, TotalIdeal, ValidationError,
+                        build_subdiagram, diagonal_projection,
+                        enumerate_partial_ideals, ideals, is_rotation_fixed,
+                        lattices, partial_from_total, reconstruct_total,
+                        restrict_total, span_subalgebra, t_tilde,
+                        total_ideal_lattice, transposition_unitary,
                         verify_conjecture1)
 
 M2 = MultiMatrixAlgebra([2])
@@ -205,25 +205,34 @@ class TestConjecture1:
         assert lat.top == TotalIdeal(M23, [0, 1])
 
 
-def test_edge_rules_are_read_once_per_diagram(monkeypatch):
-    calls = []
-    rule = ideals._atom_rule
+def test_conjecture1_runs_one_search_and_reads_no_atom_rule(monkeypatch):
+    searches, rules = [], []
+    search, rule = lattices.compatible_masks, ideals._atom_rule
 
-    def counted(edge, arrow):
-        calls.append(edge.id)
+    def counted_search(*args):
+        searches.append(args)
+        return search(*args)
+
+    def counted_rule(edge, arrow):
+        rules.append(edge.id)
         return rule(edge, arrow)
-    monkeypatch.setattr(ideals, "_atom_rule", counted)
+    for module in (lattices, ideals):
+        monkeypatch.setattr(module, "compatible_masks", counted_search)
+    monkeypatch.setattr(ideals, "_atom_rule", counted_rule)
     algebra = MultiMatrixAlgebra([1, 2, 2])
-    dia = build_subdiagram(algebra)
     report = verify_conjecture1(algebra, SubdiagramSpec.default(algebra))
-    assert report.ok
-    # verify_conjecture1 builds its own diagram: one rule per edge of it
-    assert sorted(calls) == sorted(e.id for e in dia.shape.edges)
-    # a diagram given another's meta (and so its rules) reads its own
-    del calls[:]
-    assert partial_from_total(TotalIdeal(algebra, [1]), dia).is_compatible()
-    bare = ShapedDiagram(dia.shape, dia.node_data,
-                         {e.id: dia.edge_data[e.id] for e in dia.shape.edges},
-                         meta=dict(dia.meta))
-    assert partial_from_total(TotalIdeal(algebra, [1]), bare).is_compatible()
-    assert len(calls) == 2 * len(dia.shape.edges)
+    assert report.ok and report.partial_ideal_count == 8
+    # the closed-set limit's search is the only one, and decides (b)
+    assert len(searches) == 1 and rules == []
+    # a compatibility check reads each inclusion rule once per call and
+    # keeps nothing in the diagram
+    dia = build_subdiagram(algebra)
+    meta = dict(dia.meta)
+    inclusions = sorted(e.id for e in dia.shape.edges
+                        if dia.edge_data[e.id].kind == "inclusion")
+    partial = partial_from_total(TotalIdeal(algebra, [1]), dia)
+    for _ in range(2):
+        del rules[:]
+        assert partial.is_compatible()
+        assert sorted(rules) == inclusions
+    assert dia.meta == meta
