@@ -22,7 +22,9 @@ groups modulo one relation per generating edge and source generator,
 identifying a generator with its image; this is the quotient form of
 the coequalizer-of-coproducts presentation.  Colimits of different
 shapes are connected by colimit_induced, which sends the class of a
-node generator to the class of its component image.
+node generator to the class of its component image.  free_colimit and
+free_colimit_induced give the same presentation and the same hom for K
+of a diagram of finite sets, read straight off its maps of points.
 
 >>> z = PresentedAbGroup.free(1)
 >>> z2 = PresentedAbGroup(1, [[2]])
@@ -35,6 +37,8 @@ True
 """
 
 from __future__ import annotations
+
+import functools
 
 from .diagram import (COVARIANT, DiagramMorphism, ShapedDiagram,
                       find_naturality_failure, register_identity)
@@ -166,6 +170,15 @@ class PresentedAbGroup:
     @classmethod
     def free(cls, n: int) -> "PresentedAbGroup":
         return cls(n, ())
+
+    @classmethod
+    def _trusted(cls, ngens: int, rows) -> "PresentedAbGroup":
+        """A group of rows the library built (sorted nonempty tuples of
+        (generator, nonzero int) pairs), taken as given."""
+        g = object.__new__(cls)
+        g.ngens, g.rows = ngens, tuple(rows)
+        g._lattice = g._invariants = None
+        return g
 
     @property
     def relations(self):
@@ -315,6 +328,9 @@ class AbHom:
 
 register_identity(PresentedAbGroup, AbHom.identity)
 
+# one shared free group per rank: groups are immutable values
+free_group = functools.lru_cache(maxsize=None)(PresentedAbGroup.free)
+
 
 class ColimitResult(Record):
     """Colimit presentation with its canonical injections.
@@ -404,6 +420,112 @@ def colimit_induced(morphism: DiagramMorphism, src_diagram: ShapedDiagram,
     return AbHom._trusted(src_colimit.group, dst_colimit.group, words)
 
 
+def free_colimit(sizes: dict, edges: dict) -> ColimitResult:
+    """colimit of K over a diagram of finite sets, read off its maps.
+
+    sizes[n] is the point count of node n, in node order, and edges maps
+    each edge id, in edge order, to (src, dst, index), index[j] the point
+    of src that point j of dst maps to: the spectrum of an arrow
+    src -> dst runs the other way.  K takes a node to the free group on
+    its points and the edge to the hom sending generator i of src to the
+    sum of the generators of dst over i, and the presentation is
+    colimit's of that diagram of free groups: the generators in node
+    order, then for each edge and each point i of src the row
+    g(src, i) - sum of g(dst, j) over index[j] = i.
+    """
+    offsets = {}
+    total = 0
+    for n, size in sizes.items():
+        offsets[n] = total
+        total += size
+    rows = []
+    for s, t, index in edges.values():
+        off_s, off_t = offsets[s], offsets[t]
+        over = [[] for _ in range(sizes[s])]
+        for g, i in enumerate(index, off_t):
+            over[i].append((g, -1))
+        if s != t:
+            # the two nodes' generators do not interleave: rows are sorted
+            rows.extend([((off_s + i, 1), *terms) if off_s < off_t else
+                         (*terms, (off_s + i, 1))
+                         for i, terms in enumerate(over)])
+            continue
+        for i, terms in enumerate(over):
+            # on a loop, g(s, i) cancels when i lies over itself
+            row = dict(terms)
+            if not row.pop(off_s + i, 0):
+                row[off_s + i] = 1
+            if row:
+                rows.append(tuple(sorted(row.items())))
+    group = PresentedAbGroup._trusted(total, rows)
+    injections = {}
+    for n, size in sizes.items():
+        off = offsets[n]
+        injections[n] = AbHom._trusted(free_group(size), group, [
+            {g: 1} for g in range(off, off + size)])
+    return ColimitResult(group=group, injections=injections, offsets=offsets)
+
+
+def free_colimit_induced(src_edges: dict, dst_edges: dict, node_map: dict,
+                         edge_map: dict, components: dict,
+                         src_colimit: ColimitResult,
+                         dst_colimit: ColimitResult) -> AbHom:
+    """colimit_induced between two free_colimit presentations, read off
+    a morphism of their diagrams of finite sets.
+
+    src_edges and dst_edges are the edges of the two diagrams, as for
+    free_colimit.  node_map and edge_map are f, as in DiagramMorphism,
+    and components[a] maps the points of f(a) to those of a; K of it is
+    the component at a.  The class of g(a, i) maps to the sum of the
+    g(f(a), j) over components[a][j] = i.  colimit_induced's checks run
+    in its order, with its messages: every edge has an image path from
+    f(src) to f(dst), every square commutes, every component lands on
+    its node's points, and the result is certified well defined.
+    """
+    sizes = {n: inj.domain.ngens for n, inj in dst_colimit.injections.items()}
+    for eid, (a, b, index) in src_edges.items():
+        if eid not in edge_map:
+            raise ValidationError(f"morphism missing image for edge {eid}")
+        path = edge_map[eid]
+        fa, fb = node_map[a], node_map[b]
+        start = end = dst_edges[path[0]][0] if path else fa
+        for step in path:
+            if dst_edges[step][0] != end:
+                raise ValidationError(f"path breaks at edge {step}")
+            end = dst_edges[step][1]
+        if (start, end) != (fa, fb):
+            raise ValidationError(f"image path of edge {eid} runs "
+                                  f"{start}->{end}, expected {fa}->{fb}")
+        ca, cb = components[a], components[b]
+        if len(ca) != sizes[fa]:
+            raise ValidationError("homs do not chain")
+        # The square eta_b K(u) = K(path) eta_a is K of the square of
+        # maps index . cb = ca . back from the points of f(b) to those
+        # of a, back following the path's index maps from f(b) to f(a).
+        # K is faithful on maps of finite sets: K(h) sends a point y to
+        # the sum of the points over y, so point x occurs in the image
+        # of exactly h(x), and K(h) = K(h') forces h = h'.  The square
+        # of groups commutes exactly when the square of maps does.
+        back = range(sizes[fb])
+        for step in reversed(path):
+            step_index = dst_edges[step][2]
+            back = [step_index[y] for y in back]
+        if len(cb) != sizes[fb] or \
+                [index[y] for y in cb] != [ca[x] for x in back]:
+            raise ValidationError(
+                f"diagram morphism is not natural (edge {eid})")
+    words = []
+    for a, inj in src_colimit.injections.items():
+        target, component = node_map[a], components[a]
+        if len(component) != sizes[target]:
+            raise ValidationError(f"component at {a} misses node {target}")
+        over = [{} for _ in range(inj.domain.ngens)]
+        for g, i in enumerate(component, dst_colimit.offsets[target]):
+            over[i][g] = 1
+        words.extend(over)
+    return AbHom._trusted(src_colimit.group, dst_colimit.group, words)
+
+
 def kernel(hom: AbHom):
     """Presentation of the kernel of a homomorphism, with its inclusion.
 
@@ -455,6 +577,6 @@ def cocone_factorization(diagram: ShapedDiagram, colim: ColimitResult,
 
 __all__ = [
     "PresentedAbGroup", "AbHom", "ColimitResult",
-    "element_eq", "colimit", "colimit_induced",
-    "kernel", "cocone_factorization",
+    "element_eq", "colimit", "colimit_induced", "free_colimit",
+    "free_colimit_induced", "kernel", "cocone_factorization",
 ]

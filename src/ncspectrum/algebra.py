@@ -642,14 +642,20 @@ class InnerAutomorphism:
 
     def _conjugate_planes(self, a, mask):
         """u P u* for the diagonal projection P on mask: P, but v v* for
-        v = u e_k in each plane that holds one coordinate k of mask."""
+        v = u e_k in each plane that holds one coordinate k of mask.
+        v v* has the off-diagonal entries +-12/25, so the result is
+        known not to be a diagonal projection, with no scan."""
         rows = {}
         for i, j in self.planes:
             if (i in mask) != (j in mask):
                 x, y, z = _PLANE_VV_I if i in mask else _PLANE_VV_J
                 rows[i], rows[j] = {i: x, j: y}, {i: y, j: z}
-        return AlgebraElement(self.algebra, _block_parts(
-            self.algebra, mask, rows)) if rows else a
+        if not rows:
+            return a
+        out = AlgebraElement(self.algebra,
+                             _block_parts(self.algebra, mask, rows))
+        out._mask = None
+        return out
 
     def _conjugate_mask(self, mask):
         """u P u* for the diagonal projection P on mask: P off the

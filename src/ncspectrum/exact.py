@@ -90,10 +90,12 @@ class GaussianRational:
 
     The triple is in lowest terms (d > 0, gcd(n, m, d) = 1), so
     structural equality is exact equality; re and im are the parts as
-    Fractions, and the hash is that of the pair (re, im).
+    Fractions, and the hash is that of the pair (re, im), kept once
+    computed: a few constants, such as the entries of a Pythagorean
+    rotation, are hashed over and over.
     """
 
-    __slots__ = ("n", "m", "d")
+    __slots__ = ("n", "m", "d", "_hash")
 
     def __init__(self, re=0, im=0):
         a, b = _rational(re)
@@ -173,12 +175,19 @@ class GaussianRational:
                 and self.d == other.d)
 
     def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            pass
         d = self.d
         if d == 1:
-            return hash((self.n, self.m))
-        dinv = pow(d, -1, _HASH_MODULUS) if d % _HASH_MODULUS else None
-        return hash((_part_hash(self.n, d, dinv),
-                     _part_hash(self.m, d, dinv)))
+            h = hash((self.n, self.m))
+        else:
+            dinv = pow(d, -1, _HASH_MODULUS) if d % _HASH_MODULUS else None
+            h = hash((_part_hash(self.n, d, dinv),
+                      _part_hash(self.m, d, dinv)))
+        self._hash = h
+        return h
 
     def __repr__(self):
         if not self.m:

@@ -21,22 +21,22 @@ check, that is reported loudly, never silently accepted.
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_right
 from collections import Counter
 
 from .abgroup import (AbHom, ColimitResult, PresentedAbGroup, _combine,
-                      colimit, colimit_induced, element_eq, kernel)
+                      element_eq, free_colimit, free_colimit_induced,
+                      free_group, kernel)
 from .algebra import (AlgebraElement, InnerAutomorphism, MultiMatrixAlgebra,
                       StarHom, pythagorean_unitary, stabilize, unitalize)
 from .diagram import (COVARIANT, FORWARD, DiagramMorphism, Functor, Shape,
-                      ShapedDiagram, find_path, postcompose)
+                      ShapedDiagram, find_path)
 from .errors import (FrozenRecord, Record, SubdiagramInsufficientError,
                      ValidationError, VerificationError, as_int)
 from .snf import IntegerRowLattice
 from .subalgebra import (CommSubalgebra, FiniteSpace, SpaceMap,
-                         SpectrumFunctor, SubalgebraArrow,
-                         partition_subalgebra, spectrum)
+                         SubalgebraArrow, _owners, _refines,
+                         partition_subalgebra, spectrum, spectrum_indices)
 
 
 def K_of_space(space: FiniteSpace) -> PresentedAbGroup:
@@ -44,11 +44,7 @@ def K_of_space(space: FiniteSpace) -> PresentedAbGroup:
     if space.size == 0:
         raise ValidationError("K of the empty space is not used here: "
                               "spectra of unital algebras are nonempty")
-    return _free_group(space.size)
-
-
-# one shared free group per rank: groups are immutable values
-_free_group = functools.lru_cache(maxsize=None)(PresentedAbGroup.free)
+    return free_group(space.size)
 
 
 def K_of_map(q: SpaceMap) -> AbHom:
@@ -68,7 +64,7 @@ KFunctor = Functor(on_object=K_of_space, on_morphism=K_of_map,
 
 
 def partition_label(parts) -> str:
-    return "|".join(",".join(str(c) for c in sorted(p)) for p in parts)
+    return "|".join(",".join(map(str, sorted(p))) for p in parts)
 
 
 class SubdiagramSpec(FrozenRecord):
@@ -121,11 +117,6 @@ class SubdiagramSpec(FrozenRecord):
         return f"{self.label}(rotations=[{names}], partitions=[{parts}])"
 
 
-def _refines(fine, coarse) -> bool:
-    """Whether every part of the partition fine lies in a part of coarse."""
-    return all(any(p <= q for q in coarse) for p in fine)
-
-
 def build_subdiagram(algebra: MultiMatrixAlgebra,
                      spec: SubdiagramSpec | None = None) -> ShapedDiagram:
     """The sampled diagram of commutative subalgebras of an algebra.
@@ -154,7 +145,7 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
     node_data = {}
     by_key = {}
     base_ids = []
-    parts_by_id = {}
+    owners = {}
     for parts in (coarsest,) + spec.partitions + (finest,):
         u = partition_subalgebra(algebra, parts)
         parts = tuple(sorted(parts, key=min))
@@ -165,8 +156,8 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
         node_data[nid] = u
         by_key[u.key] = nid
         base_ids.append(nid)
-        parts_by_id[nid] = parts
-    fine_id = "d:" + partition_label(finest)
+        owners[nid] = _owners(parts, n)
+    fine_id = nid  # the finest partition comes last
 
     # a unitary moves the finest atom of c iff c is in its support (off
     # it, u is a unimodular diagonal).  One that moves them as an
@@ -219,7 +210,7 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
                 placement = tuple(range(len(raw)))
             else:
                 v = node_data[tid]
-                placement = tuple(v.atom_index(p) for p in raw)
+                placement = tuple(map(v.positions.__getitem__, raw))
             placements[(r, bid)] = (tid, placement, raw)
 
     edges = []
@@ -238,7 +229,7 @@ def build_subdiagram(algebra: MultiMatrixAlgebra,
 
     # base inclusion edges: the covering pairs of the refinement order
     finer = {(s, t) for s in base_ids for t in base_ids
-             if s != t and _refines(parts_by_id[t], parts_by_id[s])}
+             if s != t and _refines(owners[t], owners[s])}
     cover_list = [(s, t) for t in base_ids for s in base_ids
                   if (s, t) in finer and not any(
                       (s, r) in finer and (r, t) in finer for r in base_ids)]
@@ -392,11 +383,6 @@ def k0_standard_hom(phi: StarHom) -> AbHom:
                  images)
 
 
-def _ab_diagram(diagram: ShapedDiagram, morphism=None):
-    spaces, m1 = postcompose(SpectrumFunctor, diagram, morphism)
-    return postcompose(KFunctor, spaces, m1)
-
-
 def _ktilde_from(algebra: MultiMatrixAlgebra, dia: ShapedDiagram,
                  colim: ColimitResult) -> K0Group:
     off = colim.offsets[dia.meta["fine"]]
@@ -414,9 +400,7 @@ def k_tilde_f(algebra: MultiMatrixAlgebra, spec: SubdiagramSpec | None = None,
     resolves at the first node whose atoms under it sum to it.
     """
     dia = diagram if diagram is not None else build_subdiagram(algebra, spec)
-    ab, _ = _ab_diagram(dia)
-    colim = colimit(ab)
-    return _ktilde_from(algebra, dia, colim)
+    return _ktilde_from(algebra, dia, free_colimit(*spectrum_indices(dia)))
 
 
 class EtaResult(Record):
@@ -610,11 +594,15 @@ def _induced_k0_map(phi: StarHom, src_diagram: ShapedDiagram,
     """The map of diagram K0s induced along a unital hom, as
     (colimit over src_diagram, colimit over dst_diagram, induced hom)."""
     dm = diagram_morphism_of_hom(phi, src_diagram, dst_diagram)
-    ab_src, ab_m = _ab_diagram(src_diagram, dm)
-    ab_dst, _ = _ab_diagram(dst_diagram)
-    colim_src = colimit(ab_src)
-    colim_dst = colimit(ab_dst)
-    induced = colimit_induced(ab_m, ab_src, ab_dst, colim_src, colim_dst)
+    sizes_src, edges_src = spectrum_indices(src_diagram)
+    components = {n: c.spectrum_map().index for n, c in dm.components.items()}
+    sizes_dst, edges_dst = spectrum_indices(dst_diagram)
+    colim_src = free_colimit(sizes_src, edges_src)
+    colim_dst = free_colimit(sizes_dst, edges_dst)
+    # naturality is checked on index maps: K is faithful (proof there)
+    induced = free_colimit_induced(edges_src, edges_dst, dm.node_map,
+                                   dm.edge_map, components, colim_src,
+                                   colim_dst)
     return colim_src, colim_dst, induced
 
 
@@ -635,17 +623,24 @@ def image_closed_spec(phi: StarHom, diagram: ShapedDiagram) -> SubdiagramSpec:
     The image partition of every base node becomes a base partition and
     the image of every rotation a rotation, so the codomain diagram
     holds each image node and each rotation edge that the induced
-    diagram morphism maps to.
+    diagram morphism maps to.  Nothing build_subdiagram would share is
+    listed: no rotation twice, no coarsest or trailing finest partition.
     """
     partitions = []
     for nid in diagram.meta["base_ids"]:
         masks = (phi.apply(p).diag_mask for p in diagram.node_data[nid].atoms)
-        partitions.append(tuple(mask for mask in masks if mask))
-    images = tuple(phi.apply_rotation(alpha)
-                   for alpha in diagram.meta["rotations"])
-    base = SubdiagramSpec.default(phi.codomain)
-    return SubdiagramSpec(rotations=base.rotations + images,
-                          partitions=tuple(partitions), label="default+images")
+        parts = tuple(mask for mask in masks if mask)
+        if len(parts) > 1:
+            partitions.append(parts)
+    if partitions and len(partitions[-1]) == phi.codomain.coord_count:
+        partitions.pop()
+    rotations = list(SubdiagramSpec.default(phi.codomain).rotations)
+    for alpha in diagram.meta["rotations"]:
+        image = phi.apply_rotation(alpha)
+        if image not in rotations:
+            rotations.append(image)
+    return SubdiagramSpec(rotations=rotations, partitions=partitions,
+                          label="default+images")
 
 
 def verify_naturality_square(phi: StarHom,

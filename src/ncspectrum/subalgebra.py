@@ -184,6 +184,20 @@ def partition_subalgebra(algebra: MultiMatrixAlgebra, parts) -> CommSubalgebra:
     return CommSubalgebra(algebra, atoms, validate=False)
 
 
+def _owners(parts, n) -> tuple:
+    """Per coordinate, the index of the part of the partition holding it."""
+    owner = {}
+    for k, p in enumerate(parts):
+        owner.update(dict.fromkeys(p, k))
+    return tuple(map(owner.__getitem__, range(n)))
+
+
+def _refines(fine, coarse) -> bool:
+    """Whether every part of one partition lies in a part of another,
+    both given by _owners: each part of fine meets one part of coarse."""
+    return len(set(zip(fine, coarse))) == len(set(fine))
+
+
 class FiniteSpace:
     """A finite discrete space with ordered, distinct point labels."""
 
@@ -298,6 +312,24 @@ def _points(n: int) -> FiniteSpace:
     return FiniteSpace(tuple(f"p{i}" for i in range(n)))
 
 
+_UNBUILT = object()  # a spectrum map's mask table, not yet built
+
+
+def _mask_table(images):
+    """{coordinate: position of the image holding it} when every image
+    is a diagonal mask and no two masks meet; else None."""
+    table = {}
+    for i, img in enumerate(images):
+        mask = img.diag_mask
+        if mask is None:
+            return None
+        size = len(table)
+        table.update(dict.fromkeys(mask, i))
+        if len(table) != size + len(mask):
+            return None
+    return table
+
+
 class SubalgebraArrow:
     """A morphism of commutative subalgebras, recorded by atom images.
 
@@ -384,23 +416,36 @@ class SubalgebraArrow:
         """The contravariant spectrum of this arrow: a map from the
         codomain's point set to the domain's, sending the point of an
         atom Q to the point of the unique domain atom P with image
-        dominating Q."""
+        dominating Q.  An image that is a codomain atom places it at
+        once.  When the nonzero images are disjoint diagonal masks, a
+        mask atom reads the one image that can dominate it from any of
+        its coordinates; any other atom scans the images."""
         if self._spectrum_map is None:
-            # exact-match shortcut for images that are codomain atoms
             index = [None] * self.codomain.natoms
             positions = self.codomain.positions
             for i, img in enumerate(self.images):
                 j = positions.get(img)
                 if j is not None and index[j] is None:
                     index[j] = i
+            table = _UNBUILT
             for j, q in enumerate(self.codomain.atoms):
-                if index[j] is None:
-                    index[j] = next((i for i, img in enumerate(self.images)
-                                     if not img.is_zero()
-                                     and projection_leq(q, img)), None)
-                    if index[j] is None:
-                        raise ValidationError(
-                            "codomain atom not dominated by any atom image")
+                if index[j] is not None:
+                    continue
+                if table is _UNBUILT:
+                    table = _mask_table(self.images)
+                mask = q.diag_mask
+                if table is not None and mask:
+                    i = table.get(next(iter(mask)))
+                    if i is not None and not mask <= self.images[i].diag_mask:
+                        i = None
+                else:
+                    i = next((i for i, img in enumerate(self.images)
+                              if not img.is_zero() and projection_leq(q, img)),
+                             None)
+                if i is None:
+                    raise ValidationError(
+                        "codomain atom not dominated by any atom image")
+                index[j] = i
             self._spectrum_map = SpaceMap(spectrum(self.codomain),
                                           spectrum(self.domain), index)
         return self._spectrum_map
@@ -423,6 +468,17 @@ def spectrum_of_inclusion(u: CommSubalgebra, v: CommSubalgebra) -> SpaceMap:
     sum to the atom of U at p.
     """
     return SubalgebraArrow.inclusion(u, v).spectrum_map()
+
+
+def spectrum_indices(diagram):
+    """The spectra of a diagram of subalgebras as index maps: each node's
+    point count, in node order, and each edge id's (src, dst, index) of
+    its spectrum map, in edge order.  This is what abgroup.free_colimit
+    reads as K of the diagram, as postcompose of SpectrumFunctor and K
+    would build it."""
+    return ({n: diagram.node_data[n].natoms for n in diagram.shape.nodes},
+            {e.id: (e.src, e.dst, diagram.edge_data[e.id].spectrum_map().index)
+             for e in diagram.shape.edges})
 
 
 SpectrumFunctor = Functor(on_object=spectrum,

@@ -151,3 +151,34 @@ class TestSerialization:
     def test_plain_string_entries_accepted(self):
         m = ExactMatrix.from_json([["3/5", "1"], ["0", "-2/7"]])
         assert m.entry(1, 1) == gr("-2/7")
+
+
+class TestScalarHash:
+    """A scalar keeps its hash once computed; the kept value is the hash
+    of the pair (re, im), as an uncached scalar computes it."""
+
+    def draws(self):
+        rng = random.Random(20261022)
+        for _ in range(200):
+            den = rng.choice((1, 2, 5, 25, 3 ** 40, rng.randint(1, 10 ** 6)))
+            yield gr(f"{rng.randint(-10 ** 6, 10 ** 6)}/{den}",
+                     f"{rng.randint(-50, 50)}/{rng.choice((1, den, 7))}")
+
+    def test_hash_is_the_pair_hash_before_and_after_caching(self):
+        for z in self.draws():
+            want = hash((z.re, z.im))
+            assert hash(z) == want
+            assert hash(z) == want
+            fresh = gr(z.re, z.im)
+            assert fresh == z and hash(fresh) == want
+
+    def test_arithmetic_results_hash_like_fresh_scalars(self):
+        zs = list(self.draws())
+        for a, b in zip(zs, zs[1:]):
+            for z in (a + b, a - b, a * b, -a, a.conjugate()):
+                assert hash(z) == hash((z.re, z.im)) == hash(gr(z.re, z.im))
+
+    def test_entries_of_a_pythagorean_plane_are_one_hash_each(self):
+        c = gr("3/5")
+        first = hash(c)
+        assert c._hash == first == hash((c.re, c.im))

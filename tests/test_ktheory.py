@@ -334,8 +334,9 @@ class TestInducedFunctoriality:
     def test_induced_maps_compose_along_homs(self):
         from ncspectrum import colimit, colimit_induced, compose_morphisms
         from ncspectrum.diagram import maps_equal
-        from ncspectrum.ktheory import (_ab_diagram, diagram_morphism_of_hom,
+        from ncspectrum.ktheory import (diagram_morphism_of_hom,
                                         image_closed_spec)
+        from test_one_pass_ktilde import ab_diagram as _ab_diagram
 
         m1 = MultiMatrixAlgebra([1])
         m4 = MultiMatrixAlgebra([4])

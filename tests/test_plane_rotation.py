@@ -98,6 +98,27 @@ def test_conjugates_of_every_diagonal_projection_agree():
             assert got.parts == want.parts
 
 
+def test_a_split_plane_is_known_not_diagonal_without_a_scan(monkeypatch):
+    """v v* has the off-diagonal entries +-12/25, so a conjugate that
+    splits a plane is built with no mask; its equality and hash still
+    agree with the dense conjugate's."""
+    for algebra, plane, dense in draws():
+        split = []
+        for mask in masks(algebra):
+            p = diagonal_projection(algebra, mask)
+            got = plane.conjugate(p)
+            if got is not p:
+                split.append((got, dense.conjugate(p)))
+        assert split
+        with monkeypatch.context() as m:
+            m.setattr(ExactMatrix, "diagonal_01_pattern", None)
+            assert all(got.diag_mask is None for got, _ in split)
+        for got, want in split:
+            assert want.diag_mask is None
+            assert got == want and want == got
+            assert hash(got) == hash(want)
+
+
 def test_non_diagonal_elements_conjugate_alike():
     for algebra, plane, dense in draws():
         p = diagonal_projection(algebra, [0])
